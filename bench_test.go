@@ -7,6 +7,7 @@
 package shelfsim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -230,13 +231,19 @@ func BenchmarkAblation_ShelfSize128(b *testing.B) {
 	})
 }
 
+// throughputRequest is the throughput benchmarks' request: cfg over one
+// kernel per thread, a 5000-instruction window after the default warmup.
+func throughputRequest(cfg Config, kernels []string) Request {
+	return Request{Config: &cfg, Kernels: kernels, Insts: 5000}
+}
+
 // BenchmarkSimulatorThroughput measures raw simulation speed (retired
 // instructions per wall-clock second drive the reported metric).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	kernels := []string{"stencil", "gups", "branchy", "matblock"}
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunKernels(Shelf64(4, true), kernels, 5000)
+		res, err := Run(context.Background(), throughputRequest(Shelf64(4, true), kernels))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +260,7 @@ func BenchmarkSimulatorThroughputBase(b *testing.B) {
 	kernels := []string{"stencil", "gups", "branchy", "matblock"}
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunKernels(Base64(4), kernels, 5000)
+		res, err := Run(context.Background(), throughputRequest(Base64(4), kernels))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +278,7 @@ func BenchmarkSimulatorThroughputTelemetry(b *testing.B) {
 	cfg.Telemetry = true
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunKernels(cfg, kernels, 5000)
+		res, err := Run(context.Background(), throughputRequest(cfg, kernels))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +325,7 @@ func BenchmarkChipThroughput(b *testing.B) {
 	cfg := chipBenchConfig(4, false)
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunKernels(cfg, kernels, 5000)
+		res, err := Run(context.Background(), throughputRequest(cfg, kernels))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +342,7 @@ func BenchmarkChipThroughputLockstep(b *testing.B) {
 	cfg := chipBenchConfig(4, true)
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunKernels(cfg, kernels, 5000)
+		res, err := Run(context.Background(), throughputRequest(cfg, kernels))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,14 +366,14 @@ func TestChipParallelSpeedup(t *testing.T) {
 	kernels := chipBenchKernels(4)
 	single := func() time.Duration {
 		start := time.Now()
-		if _, err := RunKernels(Shelf64(4, true), kernels[:4], 5000); err != nil {
+		if _, err := Run(context.Background(), throughputRequest(Shelf64(4, true), kernels[:4])); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
 	}
 	chip := func() time.Duration {
 		start := time.Now()
-		if _, err := RunKernels(chipBenchConfig(4, false), kernels, 5000); err != nil {
+		if _, err := Run(context.Background(), throughputRequest(chipBenchConfig(4, false), kernels)); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

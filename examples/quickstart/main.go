@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,14 +16,16 @@ func main() {
 	kernels := []string{"stencil", "gups", "branchy", "matblock"}
 	const insts = 20_000
 
-	base, err := shelfsim.RunKernels(shelfsim.Base64(4), kernels, insts)
-	if err != nil {
-		log.Fatal(err)
+	run := func(preset string) shelfsim.Result {
+		res, err := shelfsim.Run(context.Background(), shelfsim.Request{
+			Preset: preset, Kernels: kernels, Insts: insts,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	shelf, err := shelfsim.RunKernels(shelfsim.Shelf64(4, true), kernels, insts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base, shelf := run("base64"), run("shelf64-opt")
 
 	fmt.Println("4-thread SMT, 64-entry ROB baseline vs +64-entry shelf")
 	fmt.Printf("%-12s %12s %12s %10s %10s\n", "thread", "base CPI", "shelf CPI", "speedup", "shelved")

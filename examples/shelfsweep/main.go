@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,10 +18,16 @@ func main() {
 	kernels := []string{"hashprobe", "ilpmax", "reduce", "callret"}
 	const insts = 15_000
 
-	base, err := shelfsim.RunKernels(shelfsim.Base64(4), kernels, insts)
-	if err != nil {
-		log.Fatal(err)
+	run := func(cfg shelfsim.Config) shelfsim.Result {
+		res, err := shelfsim.Run(context.Background(), shelfsim.Request{
+			Config: &cfg, Kernels: kernels, Insts: insts,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
+	base := run(shelfsim.Base64(4))
 	baseIPC := base.Stats.IPC()
 	fmt.Printf("%-10s %10s %12s %12s %12s\n", "shelf", "IPC", "vs base", "occupancy", "shelved")
 
@@ -31,10 +38,7 @@ func main() {
 			cfg.Steer = shelfsim.SteerAllIQ
 		}
 		cfg.Name = fmt.Sprintf("shelf%d", size)
-		res, err := shelfsim.RunKernels(cfg, kernels, insts)
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := run(cfg)
 		shelved := 0.0
 		if res.Stats.Issues > 0 {
 			shelved = float64(res.Stats.ShelfIssues) / float64(res.Stats.Issues)

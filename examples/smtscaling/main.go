@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,8 +20,13 @@ func main() {
 		"threads", "in-seq (mean)", "IPC")
 
 	for _, threads := range []int{1, 2, 4, 8} {
-		mix := shelfsim.PaperMixes(threads)[0]
-		res, err := shelfsim.RunMix(shelfsim.Base128(threads), mix.Kernels, insts)
+		var kernels []string
+		for _, k := range shelfsim.PaperMixes(threads)[0].Kernels {
+			kernels = append(kernels, k.Name)
+		}
+		res, err := shelfsim.Run(context.Background(), shelfsim.Request{
+			Preset: "base128", Kernels: kernels, Insts: insts,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,9 @@ func main() {
 			cfg.CoarseInterval = 1000
 		}
 		cfg.Name = p.name
-		res, err := shelfsim.RunKernels(cfg, kernels, insts)
+		res, err := shelfsim.Run(context.Background(), shelfsim.Request{
+			Config: &cfg, Kernels: kernels, Insts: insts,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -198,9 +198,10 @@ func (h *Harness) Prewarm(ctx context.Context, configs []config.Config, mixes []
 }
 
 // recordFailure logs a supervised failure once and negatively caches
-// deterministic ones so later lookups don't re-run a known-bad job.
-// Transient failures (timeouts, budgets) stay uncached: a retry under
-// different load may succeed. Callers must hold h.mu.
+// deterministic ones (panics, invariant violations, exhausted cycle
+// budgets) so later lookups don't re-run a known-bad job. Transient
+// failures (wall-clock timeouts) stay uncached: a retry under different
+// load may succeed. Callers must hold h.mu.
 func (h *Harness) recordFailure(key string, se *runner.SimError) {
 	h.failures = append(h.failures, se)
 	if !se.Transient {

@@ -214,7 +214,8 @@ func runInstance(ctx context.Context, p Params, preset, steer string, kind confi
 		cref *core.Core
 	)
 	// Litmus bodies are short loops; the memory-order squash storms the
-	// branchy variants provoke still fit comfortably in this budget.
+	// branchy variants provoke still fit comfortably in this budget. One
+	// attempt: an instance's verdict comes from its first and only run.
 	r := &runner.Runner{CyclesPerInst: 4000, MaxAttempts: 1}
 	warmup := p.Insts / 4
 	res := instanceOutcome{}

@@ -6,7 +6,6 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/core"
-	"shelfsim/internal/isa"
 	"shelfsim/internal/workload"
 )
 
@@ -17,11 +16,11 @@ import (
 // order with the same retire count. A mismatch or a supervised failure is
 // returned as an error (SimErrors pass through for manifest collection).
 func (r *Runner) Differential(ctx context.Context, a, b config.Config, mix workload.Mix, insts int64) error {
-	countsA, err := r.runRecorded(ctx, a, mix, insts)
+	countsA, err := r.runRecorded(ctx, drainJob(a, mix, insts))
 	if err != nil {
 		return err
 	}
-	countsB, err := r.runRecorded(ctx, b, mix, insts)
+	countsB, err := r.runRecorded(ctx, drainJob(b, mix, insts))
 	if err != nil {
 		return err
 	}
@@ -45,11 +44,11 @@ func (r *Runner) SchedulerDifferential(ctx context.Context, cfg config.Config, m
 	inc.RescanScheduler = false
 	res := cfg
 	res.RescanScheduler = true
-	a, err := r.runResult(ctx, inc, mix, insts)
+	a, err := r.drain(ctx, drainJob(inc, mix, insts))
 	if err != nil {
 		return err
 	}
-	b, err := r.runResult(ctx, res, mix, insts)
+	b, err := r.drain(ctx, drainJob(res, mix, insts))
 	if err != nil {
 		return err
 	}
@@ -60,97 +59,86 @@ func (r *Runner) SchedulerDifferential(ctx context.Context, cfg config.Config, m
 	return nil
 }
 
-// runResult executes cfg over mix with bounded streams until every thread
-// drains, returning the assembled Result (the scheduler differential
-// compares whole-run fingerprints rather than retire streams).
-func (r *Runner) runResult(ctx context.Context, cfg config.Config, mix workload.Mix, insts int64) (res *core.Result, err error) {
-	job := Job{Config: cfg, Mix: mix, Warmup: 0, Measure: insts}
-	var c *core.Core
-	defer func() {
-		if rec := recover(); rec != nil {
-			res, err = nil, recoveredError(job, rec, 1, c)
+// ChipDifferential proves the chip's parallel step path is bit-identical to
+// deterministic lockstep: the same chip job runs once with ChipLockstep off
+// (one goroutine per core) and once with it on (sequential core order), and
+// both the merged Result fingerprint and every per-core Result fingerprint
+// — plus the allocation-decision log — must match exactly. Any cross-core
+// interaction leaking into the parallel step path shows up here.
+func (r *Runner) ChipDifferential(ctx context.Context, cfg config.Config, mix workload.Mix, warmup, measure int64) error {
+	if cfg.NumCores < 2 {
+		return fmt.Errorf("runner: chip differential needs NumCores >= 2, got %d", cfg.NumCores)
+	}
+	par := cfg
+	par.ChipLockstep = false
+	seq := cfg
+	seq.ChipLockstep = true
+
+	// Each run's complete determinism evidence: merged, per-core and
+	// allocation-log fingerprints.
+	var merged, alloc [2]string
+	var cores [2][]string
+	for i, c := range []config.Config{par, seq} {
+		m, res, simErr := r.run(ctx, Job{Config: c, Mix: mix, Warmup: warmup, Measure: measure}, 1, false)
+		if simErr != nil {
+			return simErr
 		}
-	}()
-	c, coreErr := core.New(cfg, Streams(mix, insts))
-	if coreErr != nil {
-		return nil, coreErr
+		merged[i], cores[i], alloc[i] = res.Fingerprint(), m.chip.CoreFingerprints(), m.chip.AllocFingerprint()
 	}
-	if err := r.driveToCompletion(ctx, cfg, mix, c, insts); err != nil {
-		return nil, err
+	if merged[0] != merged[1] {
+		return fmt.Errorf("runner: chip differential %s on %s: parallel merged fingerprint %s != lockstep %s",
+			cfg.Name, mix.Name(), merged[0], merged[1])
 	}
-	out := c.Result()
-	return &out, nil
+	if alloc[0] != alloc[1] {
+		return fmt.Errorf("runner: chip differential %s on %s: parallel allocation log %s != lockstep %s",
+			cfg.Name, mix.Name(), alloc[0], alloc[1])
+	}
+	for i := range cores[0] {
+		if cores[0][i] != cores[1][i] {
+			return fmt.Errorf("runner: chip differential %s on %s: core %d parallel fingerprint %s != lockstep %s",
+				cfg.Name, mix.Name(), i, cores[0][i], cores[1][i])
+		}
+	}
+	return nil
 }
 
-// runRecorded executes cfg over mix with bounded streams (limit insts per
-// thread) until every thread drains, recording retirement through the
-// retire observer. It verifies each thread retires sequence numbers
-// 0,1,2,... in strict program order with no drops or duplicates, and
-// returns the per-thread retire counts.
-func (r *Runner) runRecorded(ctx context.Context, cfg config.Config, mix workload.Mix, insts int64) ([]int64, error) {
-	return r.runStreams(ctx, cfg, mix, Streams(mix, insts), insts)
+// drainJob is a differential's job: cfg over mix's streams bounded at insts
+// instructions per thread, so a drained run retires exactly insts each.
+func drainJob(cfg config.Config, mix workload.Mix, insts int64) Job {
+	return Job{Config: cfg, Mix: mix, Streams: Streams(mix, insts), Measure: insts}
 }
 
-// runStreams is runRecorded over caller-supplied bounded streams (used by
-// the fuzzer to vary stream seeds beyond the harness conventions).
-func (r *Runner) runStreams(ctx context.Context, cfg config.Config, mix workload.Mix, streams []isa.Stream, insts int64) (counts []int64, err error) {
-	job := Job{Config: cfg, Mix: mix, Warmup: 0, Measure: insts}
-	var c *core.Core
-	defer func() {
-		if rec := recover(); rec != nil {
-			counts, err = nil, recoveredError(job, rec, 1, c)
-		}
-	}()
-
-	c, coreErr := core.New(cfg, streams)
-	if coreErr != nil {
-		return nil, coreErr
+// drain runs job on the supervised path until every thread retires its
+// whole bounded stream (no retire targets) and returns the Result.
+func (r *Runner) drain(ctx context.Context, job Job) (*core.Result, error) {
+	_, res, simErr := r.run(ctx, job, 1, true)
+	if simErr != nil {
+		return nil, simErr
 	}
-	next := make([]int64, cfg.Threads)
+	return res, nil
+}
+
+// runRecorded drains job while recording retirement through the retire
+// observer. It verifies each thread retires sequence numbers 0,1,2,... in
+// strict program order with no drops or duplicates, and returns the
+// per-thread retire counts.
+func (r *Runner) runRecorded(ctx context.Context, job Job) ([]int64, error) {
+	next := make([]int64, job.Config.Threads)
 	var orderErr error
-	c.SetRetireObserver(func(tid int, seq int64) {
-		if orderErr == nil && seq != next[tid] {
-			orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
-				cfg.Name, mix.Name(), tid, seq, next[tid])
-		}
-		next[tid]++
-	})
-
-	if err := r.driveToCompletion(ctx, cfg, mix, c, insts); err != nil {
+	job.Attach = func(c *core.Core) {
+		c.SetRetireObserver(func(tid int, seq int64) {
+			if orderErr == nil && seq != next[tid] {
+				orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
+					job.Config.Name, job.label(), tid, seq, next[tid])
+			}
+			next[tid]++
+		})
+	}
+	if _, err := r.drain(ctx, job); err != nil {
 		return nil, err
 	}
 	if orderErr != nil {
 		return nil, orderErr
 	}
 	return next, nil
-}
-
-// driveToCompletion steps c in context-checked chunks until every thread
-// drains, bounded by the runner's per-instruction cycle budget.
-func (r *Runner) driveToCompletion(ctx context.Context, cfg config.Config, mix workload.Mix, c *core.Core, insts int64) error {
-	budget := insts * int64(cfg.Threads) * r.cyclesPerInst()
-	for {
-		if err := ctx.Err(); err != nil {
-			return &SimError{
-				Config: cfg.Name, Mix: mix.Name(), Cycle: c.Cycle(), Thread: -1,
-				Attempt: 1, Transient: true,
-				Msg: fmt.Sprintf("wall-clock limit: %v", err), err: err,
-			}
-		}
-		remaining := budget - c.Cycle()
-		if remaining <= 0 {
-			return &SimError{
-				Config: cfg.Name, Mix: mix.Name(), Cycle: c.Cycle(), Thread: -1,
-				Attempt: 1, Transient: true,
-				Msg: fmt.Sprintf("cycle budget %d exhausted during differential run", budget),
-			}
-		}
-		chunk := int64(ctxCheckInterval)
-		if chunk > remaining {
-			chunk = remaining
-		}
-		if _, finished := c.Run(chunk); finished {
-			return nil
-		}
-	}
 }

@@ -14,7 +14,7 @@ import (
 // counts and both microarchitectures, with the per-cycle invariant checker
 // enabled. The properties under test are the runner's core guarantees — no
 // panic escapes supervision, every thread retires its full bounded stream,
-// and retirement stays in strict program order (runStreams asserts order
+// and retirement stays in strict program order (runRecorded asserts order
 // through the retire observer).
 func FuzzStream(f *testing.F) {
 	f.Add(uint64(1), uint64(2016), uint8(0), uint16(100), false)
@@ -41,7 +41,7 @@ func FuzzStream(f *testing.F) {
 		cfg.CheckInvariants = true
 
 		r := &Runner{}
-		counts, err := r.runStreams(context.Background(), cfg, mix, streams, insts)
+		counts, err := r.runRecorded(context.Background(), Job{Config: cfg, Mix: mix, Streams: streams, Measure: insts})
 		if err != nil {
 			t.Fatalf("supervised run failed (%s, %d threads, seed %#x): %v",
 				cfg.Name, threads, seed, err)

@@ -2,9 +2,13 @@
 // jobs on a worker pool of goroutines, recovers panics from the core and
 // its substrates into structured SimErrors (config, mix, cycle, thread,
 // message, stack), enforces per-run cycle budgets and wall-clock timeouts,
-// retries transient failures once with a halved measurement window, and
-// degrades gracefully: a sweep returns partial results plus a failure
+// and degrades gracefully: a sweep returns partial results plus a failure
 // manifest instead of aborting the process.
+//
+// Every run takes one supervised path: single-core and chip jobs and the
+// differentials alike. A result always covers the window its job names.
+// Only a wall-clock timeout is transient, and its retry re-runs the
+// identical window; an exhausted cycle budget is deterministic.
 package runner
 
 import (
@@ -17,6 +21,7 @@ import (
 	"time"
 
 	"shelfsim/internal/asm"
+	"shelfsim/internal/chip"
 	"shelfsim/internal/config"
 	"shelfsim/internal/core"
 	"shelfsim/internal/isa"
@@ -38,8 +43,9 @@ type SimError struct {
 	Thread int `json:"thread"`
 	// Attempt is the 1-based attempt number that produced this failure.
 	Attempt int `json:"attempt"`
-	// Transient marks failures worth retrying (timeouts, cycle budgets) as
-	// opposed to deterministic invariant violations.
+	// Transient marks failures worth retrying: wall-clock timeouts and
+	// cancellations. Everything else, cycle-budget exhaustion included,
+	// fails the same way on every attempt.
 	Transient bool `json:"transient"`
 	// Msg is the recovered panic message or failure description.
 	Msg string `json:"message"`
@@ -136,13 +142,13 @@ type Runner struct {
 	// CyclesPerInst scales the per-run cycle budget: a run aborts after
 	// (warmup+measure) * threads * CyclesPerInst cycles (default 1000).
 	CyclesPerInst int64
-	// MaxAttempts caps attempts per job including the first (default 2:
-	// transient failures retry once with a halved measurement window).
+	// MaxAttempts caps attempts at a timed-out job, the first included
+	// (default 2). A retry re-runs the identical window.
 	MaxAttempts int
 }
 
-// ctxCheckInterval is how many cycles the supervised loop simulates
-// between context/deadline checks.
+// ctxCheckInterval is how many cycles the supervised loop simulates on a
+// single core between context/deadline checks.
 const ctxCheckInterval = 4096
 
 func (r *Runner) workers() int {
@@ -177,39 +183,66 @@ func Streams(mix workload.Mix, limit int64) []isa.Stream {
 	return streams
 }
 
-// Execute runs one job under supervision. Transient failures (wall-clock
-// timeout, cycle budget) are retried with a halved measurement window, up
-// to MaxAttempts; deterministic failures (panics, invariant violations)
-// are returned immediately.
+// Execute runs one job under supervision and returns its result or its
+// failure. A wall-clock timeout is the only transient failure: it is
+// retried on the identical window, up to MaxAttempts. Every other failure
+// (a panic, an invariant violation, a constructor error, an exhausted
+// cycle budget) is deterministic and returned at once.
 func (r *Runner) Execute(ctx context.Context, job Job) (*core.Result, *SimError) {
-	warmup, measure := job.Warmup, job.Measure
-	var last *SimError
-	for attempt := 1; attempt <= r.maxAttempts(); attempt++ {
-		res, simErr := r.runOnce(ctx, job, warmup, measure, attempt)
-		if simErr == nil {
-			return res, nil
-		}
-		last = simErr
-		if !simErr.Transient || ctx.Err() != nil {
-			break
-		}
-		// Retry with a halved measurement window: if the failure was a
-		// pathological slowdown rather than a deadlock, a shorter window
-		// still yields a usable (if noisier) measurement.
-		if measure > 1 {
-			measure /= 2
+	for attempt := 1; ; attempt++ {
+		_, res, simErr := r.run(ctx, job, attempt, false)
+		if simErr == nil || !simErr.Transient || attempt >= r.maxAttempts() || ctx.Err() != nil {
+			return res, simErr
 		}
 	}
-	return nil, last
 }
 
-// runOnce performs a single supervised attempt.
-func (r *Runner) runOnce(ctx context.Context, job Job, warmup, measure int64, attempt int) (res *core.Result, simErr *SimError) {
-	var c *core.Core
+// machine is what the supervised loop advances: one core, or an N-core
+// chip when Config.NumCores >= 2. At most one field is set.
+type machine struct {
+	core *core.Core
+	chip *chip.Chip
+}
+
+// cycle is the machine's current cycle, or -1 before it is built.
+func (m *machine) cycle() int64 {
+	switch {
+	case m.chip != nil:
+		return m.chip.Cycle()
+	case m.core != nil:
+		return m.core.Cycle()
+	}
+	return -1
+}
+
+// advance simulates one supervision step toward budget and reports whether
+// every thread finished. A core runs at most ctxCheckInterval cycles and
+// never past the budget; a chip runs one Step+Rebalance allocation epoch.
+func (m *machine) advance(budget int64) bool {
+	if m.chip != nil {
+		if !m.chip.Done() {
+			m.chip.Step()
+			m.chip.Rebalance()
+		}
+		return m.chip.Done()
+	}
+	_, finished := m.core.Run(min(ctxCheckInterval, budget-m.core.Cycle()))
+	return finished
+}
+
+// run is the one supervised path every job takes: it instantiates the
+// job's streams, builds its machine, applies Runner.Timeout and advances
+// the machine until every thread finishes, checking the context and the
+// cycle budget between steps. A panic anywhere in it is recovered into a
+// SimError. Normally each thread runs Warmup retired instructions and then
+// a Measure window; with drain set no retire targets are set and the run
+// lasts until every (bounded) stream has fully retired, which is how the
+// differentials compare whole runs. run returns the finished machine so
+// callers can read more than its Result.
+func (r *Runner) run(ctx context.Context, job Job, attempt int, drain bool) (m machine, res *core.Result, simErr *SimError) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			simErr = recoveredError(job, rec, attempt, c)
-			res = nil
+			res, simErr = nil, recoveredError(job, rec, attempt, m.cycle())
 		}
 	}()
 
@@ -217,10 +250,6 @@ func (r *Runner) runOnce(ctx context.Context, job Job, warmup, measure int64, at
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
 		defer cancel()
-	}
-
-	if job.Config.NumCores >= 2 {
-		return r.runChip(ctx, job, warmup, measure, attempt)
 	}
 
 	streams := job.Streams
@@ -231,70 +260,72 @@ func (r *Runner) runOnce(ctx context.Context, job Job, warmup, measure int64, at
 			streams = Streams(job.Mix, -1)
 		}
 	}
-	c, err := core.New(job.Config, streams)
+	threads := int64(job.Config.Threads)
+	var err error
+	if job.Config.NumCores >= 2 {
+		threads *= int64(job.Config.NumCores)
+		m.chip, err = chip.New(job.Config, streams)
+	} else {
+		m.core, err = core.New(job.Config, streams)
+	}
 	if err != nil {
-		return nil, &SimError{
-			Config: job.Config.Name, Mix: job.label(), Cycle: -1, Thread: -1,
-			Attempt: attempt, Msg: err.Error(), err: err,
+		return m, nil, job.failure(attempt, -1, false, err)
+	}
+	if !drain {
+		if m.chip != nil {
+			m.chip.SetRetireTargets(job.Warmup, job.Measure)
+		} else {
+			m.core.SetRetireTargets(job.Warmup, job.Measure)
 		}
 	}
-	c.SetRetireTargets(warmup, measure)
-	if job.Attach != nil {
-		job.Attach(c)
+	if job.Attach != nil && m.core != nil {
+		job.Attach(m.core)
 	}
 
-	budget := (warmup + measure) * int64(job.Config.Threads) * r.cyclesPerInst()
+	budget := (job.Warmup + job.Measure) * threads * r.cyclesPerInst()
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, &SimError{
-				Config: job.Config.Name, Mix: job.label(), Cycle: c.Cycle(), Thread: -1,
-				Attempt: attempt, Transient: true,
-				Msg: fmt.Sprintf("wall-clock limit: %v", err), err: err,
-			}
+			return m, nil, job.failure(attempt, m.cycle(), true, fmt.Errorf("wall-clock limit: %w", err))
 		}
-		remaining := budget - c.Cycle()
-		if remaining <= 0 {
-			err := fmt.Errorf("cycle budget %d exhausted (possible deadlock or pathological slowdown)", budget)
-			return nil, &SimError{
-				Config: job.Config.Name, Mix: job.label(), Cycle: c.Cycle(), Thread: -1,
-				Attempt: attempt, Transient: true, Msg: err.Error(), err: err,
-			}
+		if m.cycle() >= budget {
+			return m, nil, job.failure(attempt, m.cycle(), false,
+				fmt.Errorf("cycle budget %d exhausted (possible deadlock or pathological slowdown)", budget))
 		}
-		chunk := int64(ctxCheckInterval)
-		if chunk > remaining {
-			chunk = remaining
-		}
-		if _, finished := c.Run(chunk); finished {
+		if m.advance(budget) {
 			break
 		}
 	}
-	result := c.Result()
-	return &result, nil
+	var out core.Result
+	if m.chip != nil {
+		out = m.chip.Result()
+	} else {
+		out = m.core.Result()
+	}
+	return m, &out, nil
 }
 
-// recoveredError converts a recovered panic value into a SimError,
-// extracting cycle and thread attribution from typed invariant errors.
-func recoveredError(job Job, rec any, attempt int, c *core.Core) *SimError {
-	e := &SimError{
-		Config:  job.Config.Name,
-		Mix:     job.label(),
-		Cycle:   -1,
-		Thread:  -1,
-		Attempt: attempt,
-		Msg:     fmt.Sprint(rec),
-		Stack:   string(debug.Stack()),
+// failure is the SimError of a run of j that stopped without a panic.
+func (j *Job) failure(attempt int, cycle int64, transient bool, err error) *SimError {
+	return &SimError{
+		Config: j.Config.Name, Mix: j.label(), Cycle: cycle, Thread: -1,
+		Attempt: attempt, Transient: transient, Msg: err.Error(), err: err,
 	}
-	if c != nil {
-		e.Cycle = c.Cycle()
+}
+
+// recoveredError converts a recovered panic value into a SimError at the
+// machine's cycle, refining cycle and thread from typed invariant errors.
+func recoveredError(job Job, rec any, attempt int, cycle int64) *SimError {
+	err, ok := rec.(error)
+	if !ok {
+		err = errors.New(fmt.Sprint(rec))
 	}
-	if err, ok := rec.(error); ok {
-		e.err = err
-		var inv *core.InvariantError
-		if errors.As(err, &inv) {
-			e.Thread = inv.Thread
-			if inv.Cycle >= 0 {
-				e.Cycle = inv.Cycle
-			}
+	e := job.failure(attempt, cycle, false, err)
+	e.Stack = string(debug.Stack())
+	var inv *core.InvariantError
+	if errors.As(err, &inv) {
+		e.Thread = inv.Thread
+		if inv.Cycle >= 0 {
+			e.Cycle = inv.Cycle
 		}
 	}
 	return e

@@ -73,26 +73,6 @@ func TestExecuteRecoversInjectedFault(t *testing.T) {
 	}
 }
 
-func TestExecuteRetriesTransientWithHalvedWindow(t *testing.T) {
-	// A one-cycle-per-instruction budget is unsatisfiable, so every
-	// attempt exhausts its cycle budget: the runner must retry once
-	// (halving the window) and then report the transient failure.
-	r := &Runner{CyclesPerInst: 1}
-	cfg := config.Base64(4)
-	_, simErr := r.Execute(context.Background(), Job{
-		Config: cfg, Mix: testMixes(4, 1)[0], Warmup: 100, Measure: 200,
-	})
-	if simErr == nil {
-		t.Fatal("expected a budget failure")
-	}
-	if !simErr.Transient {
-		t.Errorf("budget exhaustion must be transient: %+v", simErr)
-	}
-	if simErr.Attempt != 2 {
-		t.Errorf("transient failure must be retried exactly once, got attempt %d", simErr.Attempt)
-	}
-}
-
 func TestExecuteHonorsContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -108,13 +88,32 @@ func TestExecuteHonorsContextCancellation(t *testing.T) {
 	}
 }
 
+// TestExecuteTimeout checks a wall-clock timeout is the transient failure:
+// it is retried up to MaxAttempts, and every retry keeps the job's window.
 func TestExecuteTimeout(t *testing.T) {
-	r := &Runner{Timeout: time.Nanosecond}
-	_, simErr := r.Execute(context.Background(), Job{
+	var windows [][2]int64
+	r := &Runner{Timeout: time.Nanosecond, MaxAttempts: 3}
+	job := Job{
 		Config: config.Base64(4), Mix: testMixes(4, 1)[0], Warmup: 100, Measure: 200,
-	})
+		Attach: func(c *core.Core) {
+			p := c.ThreadProgress(0)
+			windows = append(windows, [2]int64{p.WarmupTarget, p.RetireTarget})
+		},
+	}
+	_, simErr := r.Execute(context.Background(), job)
 	if simErr == nil || !simErr.Transient {
 		t.Fatalf("timeout must yield a transient SimError: %v", simErr)
+	}
+	if !errors.Is(simErr, context.DeadlineExceeded) {
+		t.Errorf("timeout SimError must wrap the context error: %v", simErr)
+	}
+	if simErr.Attempt != 3 || len(windows) != 3 {
+		t.Fatalf("timeout must be retried up to MaxAttempts: attempt %d, %d runs", simErr.Attempt, len(windows))
+	}
+	for i, w := range windows {
+		if w != [2]int64{job.Warmup, job.Measure} {
+			t.Errorf("attempt %d ran window %v, want warmup %d measure %d", i+1, w, job.Warmup, job.Measure)
+		}
 	}
 }
 
@@ -226,7 +225,41 @@ func TestDifferentialDetectsCountMismatch(t *testing.T) {
 	b := config.Shelf64(1, true)
 	b.InjectFaultCycle = 50
 	mix := workload.Mix{ID: 0, Kernels: []*workload.Kernel{workload.Kernels()[0]}}
-	if err := r.Differential(context.Background(), a, b, mix, 500); err == nil {
+	err := r.Differential(context.Background(), a, b, mix, 500)
+	if err == nil {
 		t.Fatal("differential against a faulted run must fail")
+	}
+
+	// Every supervised failure of a differential is a *SimError wrapping
+	// its cause: the fault's invariant violation, a constructor error, an
+	// exhausted cycle budget.
+	var inv *core.InvariantError
+	if !errors.As(err, &inv) {
+		t.Errorf("faulted differential must wrap the InvariantError: %v", err)
+	}
+	two := workload.Mix{ID: 0, Kernels: workload.Kernels()[:2]}
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"fault", err},
+		{"stream count", r.Differential(context.Background(), a, a, two, 100)},
+		{"scheduler stream count", r.SchedulerDifferential(context.Background(), a, two, 100)},
+		{"chip stream count", r.ChipDifferential(context.Background(), chipTestCfg(), two, 100, 200)},
+		{"budget", (&Runner{CyclesPerInst: 1}).Differential(context.Background(), a, a, mix, 100)},
+		{"scheduler budget", (&Runner{CyclesPerInst: 1}).SchedulerDifferential(context.Background(), a, mix, 100)},
+	}
+	for _, tc := range cases {
+		var se *SimError
+		if !errors.As(tc.err, &se) {
+			t.Errorf("%s: %v is not a *SimError", tc.name, tc.err)
+			continue
+		}
+		if se.Unwrap() == nil {
+			t.Errorf("%s: SimError wraps no cause: %v", tc.name, se)
+		}
+		if se.Transient {
+			t.Errorf("%s: deterministic failure marked transient: %v", tc.name, se)
+		}
 	}
 }

@@ -279,9 +279,8 @@ func New(opts Options) *Server {
 		run: &runner.Runner{
 			Timeout:       opts.jobTimeout(),
 			CyclesPerInst: opts.cyclesPerInst(),
-			// One attempt, no halved-window retry: a request must always
-			// measure the same window or result fingerprints would depend
-			// on server load.
+			// One attempt: a job that exceeds JobTimeout fails instead
+			// of holding its shard for a second full run.
 			MaxAttempts: 1,
 		},
 		store: opts.Store,

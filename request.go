@@ -436,9 +436,9 @@ func (r Request) CacheKey() (string, error) {
 // panics in the core become structured *SimError failures, the context
 // cancels or bounds the run's wall-clock time, and the cycle budget of
 // DefaultMaxCyclesPerInst cycles per requested instruction aborts
-// deadlocks. It is the single entry point behind the deprecated Run*
-// wrappers, the CLIs and the shelfd service, so all of them produce
-// bit-identical results for the same request.
+// deadlocks. It is the single entry point behind the CLIs and the shelfd
+// service, so all of them produce bit-identical results for the same
+// request.
 func Run(ctx context.Context, req Request) (Result, error) {
 	rv, err := req.Resolve()
 	if err != nil {
@@ -447,9 +447,9 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	return runResolved(ctx, rv)
 }
 
-// runResolved executes an already-validated request. The runner runs a
-// single attempt (no halved-window retry): the same request must always
-// measure the same window, or result fingerprints would depend on load.
+// runResolved executes an already-validated request on the runner's
+// supervised path, which always measures the requested window. It makes a
+// single attempt: a timed-out request fails rather than re-simulating.
 func runResolved(ctx context.Context, rv Resolved) (Result, error) {
 	r := &runner.Runner{CyclesPerInst: DefaultMaxCyclesPerInst, MaxAttempts: 1}
 	res, simErr := r.Execute(ctx, runner.Job{
@@ -464,20 +464,4 @@ func runResolved(ctx context.Context, rv Resolved) (Result, error) {
 		return Result{}, simErr
 	}
 	return *res, nil
-}
-
-// kernelNames maps a kernel slice to registry names for the deprecated
-// wrappers, rejecting nils and unregistered kernels with typed errors.
-func kernelNames(kernels []*Kernel) ([]string, error) {
-	names := make([]string, len(kernels))
-	for i, k := range kernels {
-		if k == nil {
-			return nil, config.Fielderrf("kernels", "nil kernel for thread %d", i)
-		}
-		if _, err := workload.ByName(k.Name); err != nil {
-			return nil, config.Fielderrf("kernels", "thread %d: %v", i, err)
-		}
-		names[i] = k.Name
-	}
-	return names, nil
 }

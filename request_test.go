@@ -128,24 +128,26 @@ func TestRequestResolveFieldErrors(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDeprecatedWrapper proves the wrappers are thin: the old
-// entry point and the request API produce bit-identical results for the
-// same workload.
-func TestRunMatchesDeprecatedWrapper(t *testing.T) {
+// TestRunPresetMatchesEmbeddedConfig checks the two ways of naming a
+// configuration are one run: a preset and the embedded config it resolves
+// to produce bit-identical results for the same workload.
+func TestRunPresetMatchesEmbeddedConfig(t *testing.T) {
 	cfg := Shelf64(2, true)
-	old, err := RunMixWarm(cfg, mustKernels(t, "matblock", "branchy"), 200, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := int64(200)
-	res, err := Run(context.Background(), Request{
-		Config: &cfg, Kernels: []string{"matblock", "branchy"}, Warmup: &warm, Insts: 500,
+	kernels := []string{"matblock", "branchy"}
+	embedded, err := Run(context.Background(), Request{
+		Config: &cfg, Kernels: kernels, Warmup: i64p(200), Insts: 500,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Fingerprint() != res.Fingerprint() {
-		t.Errorf("wrapper and Run diverge: %s vs %s", old.Fingerprint(), res.Fingerprint())
+	preset, err := Run(context.Background(), Request{
+		Preset: "shelf64-opt", Kernels: kernels, Warmup: i64p(200), Insts: 500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if embedded.Fingerprint() != preset.Fingerprint() {
+		t.Errorf("embedded config and preset diverge: %s vs %s", embedded.Fingerprint(), preset.Fingerprint())
 	}
 }
 

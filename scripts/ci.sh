@@ -60,6 +60,12 @@ go test -race -count=1 -run TestAsmGoldenFingerprints .
 # past discoveries as regression seeds.
 go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 
+# Supervised-run fuzz, same fixed budget: over fuzzed kernel selections,
+# stream seeds and thread counts with the invariant checker on, no panic
+# escapes the runner's supervised path and every thread retires its whole
+# bounded stream in strict program order.
+go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/runner/
+
 # The observability layer's own race gate, run explicitly so a -run filter
 # or test-cache change elsewhere can never hide it: merged telemetry from a
 # multi-worker sweep must equal the serial merge, with no data races.
@@ -76,9 +82,11 @@ go test -race -count=1 ./internal/serve/ ./client/
 # every per-core fingerprint and the allocation-decision log — for every
 # allocation policy, and independent of GOMAXPROCS and the runner's worker
 # count. Any cross-core state leaking into the step path fails here twice:
-# as a race report and as a fingerprint mismatch.
+# as a race report and as a fingerprint mismatch. The semantic and
+# scheduler differentials run on the same supervised path and join the
+# runner line.
 go test -race -count=1 -run 'TestParallelMatchesLockstep|TestDeterministicAcrossGOMAXPROCS' ./internal/chip/
-go test -race -count=1 -run 'TestChipDifferential|TestChipDeterministicAcrossWorkers' ./internal/runner/
+go test -race -count=1 -run 'TestChipDifferential|TestChipDeterministicAcrossWorkers|TestDifferential|TestSchedulerDifferential' ./internal/runner/
 
 # shelfd end-to-end smoke: build the server with -race, boot it on an
 # ephemeral port with a temporary persistent store, drive a concurrent

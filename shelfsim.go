@@ -21,8 +21,6 @@
 package shelfsim
 
 import (
-	"context"
-
 	"shelfsim/internal/asm"
 	"shelfsim/internal/config"
 	"shelfsim/internal/core"
@@ -128,60 +126,3 @@ func PaperMixes(threads int) []Mix { return workload.PaperMixes(threads) }
 // DefaultMaxCyclesPerInst bounds runaway simulations: a run aborts after
 // this many cycles per requested instruction.
 const DefaultMaxCyclesPerInst = 64
-
-// RunMix simulates cfg over one kernel per thread for instsPerThread
-// retired instructions each, after a warmup of instsPerThread/2 (caches
-// and predictors train before measurement, as the paper's SimPoint warmup
-// does).
-//
-// Deprecated: use Run with a Request.
-func RunMix(cfg Config, kernels []*Kernel, instsPerThread int64) (Result, error) {
-	return RunMixWarm(cfg, kernels, instsPerThread/2, instsPerThread)
-}
-
-// RunMixWarm simulates cfg over one kernel per thread: warmup retired
-// instructions of cache/predictor training followed by a measured window
-// of instsPerThread retired instructions.
-//
-// Deprecated: use Run with a Request (set Warmup for explicit control).
-func RunMixWarm(cfg Config, kernels []*Kernel, warmup, instsPerThread int64) (Result, error) {
-	names, err := kernelNames(kernels)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(context.Background(), Request{
-		Config: &cfg, Kernels: names, Warmup: &warmup, Insts: instsPerThread,
-	})
-}
-
-// RunKernels is RunMix with kernels given by name.
-//
-// Deprecated: use Run with a Request.
-func RunKernels(cfg Config, names []string, instsPerThread int64) (Result, error) {
-	return Run(context.Background(), Request{
-		Config: &cfg, Kernels: names, Insts: instsPerThread,
-	})
-}
-
-// RunSingle simulates one kernel alone on a single-threaded variant of cfg
-// (full, unpartitioned resources), the normalization point for STP.
-//
-// Deprecated: use Run with a single-kernel Request.
-func RunSingle(cfg Config, k *Kernel, insts int64) (Result, error) {
-	single := cfg
-	single.Threads = 1
-	single.Name = cfg.Name + "-1t"
-	return RunMix(single, []*Kernel{k}, insts)
-}
-
-// RunStreams simulates cfg over caller-provided instruction streams (one
-// per thread) — custom workloads or recorded traces. Streams must be
-// bounded or the retire targets must be reachable; each thread's
-// measurement covers `insts` retired instructions after `warmup`.
-//
-// Deprecated: use Run with a Request carrying Streams.
-func RunStreams(cfg Config, streams []Stream, warmup, insts int64) (Result, error) {
-	return Run(context.Background(), Request{
-		Config: &cfg, Streams: streams, Warmup: &warmup, Insts: insts,
-	})
-}

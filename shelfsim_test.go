@@ -1,13 +1,16 @@
 package shelfsim
 
 import (
-	"strings"
+	"context"
+	"errors"
 	"testing"
 )
 
 func TestRunKernelsQuick(t *testing.T) {
 	cfg := Shelf64(2, true)
-	res, err := RunMixWarm(cfg, mustKernels(t, "matblock", "branchy"), 200, 500)
+	res, err := Run(context.Background(), Request{
+		Config: &cfg, Kernels: []string{"matblock", "branchy"}, Warmup: i64p(200), Insts: 500,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,9 @@ func TestRunKernelsQuick(t *testing.T) {
 }
 
 func TestRunKernelsByName(t *testing.T) {
-	res, err := RunKernels(Base64(2), []string{"ilpmax", "fpdense"}, 400)
+	res, err := Run(context.Background(), Request{
+		Preset: "base64", Kernels: []string{"ilpmax", "fpdense"}, Insts: 400,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,38 +39,41 @@ func TestRunKernelsByName(t *testing.T) {
 	}
 }
 
+// TestRunSingle runs one kernel alone on a single-threaded core (full,
+// unpartitioned resources), the normalization point for STP.
 func TestRunSingle(t *testing.T) {
-	k, err := KernelByName("matblock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSingle(Base64(4), k, 500)
+	res, err := Run(context.Background(), Request{
+		Preset: "base64", Kernels: []string{"matblock"}, Insts: 500,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Threads) != 1 {
 		t.Fatalf("single run has %d threads", len(res.Threads))
 	}
-	if !strings.HasSuffix(res.Config, "-1t") {
-		t.Errorf("config name %q", res.Config)
+	if res.Threads[0].Retired != 500 {
+		t.Errorf("single thread retired %d, want 500", res.Threads[0].Retired)
 	}
 }
 
 func TestRunMixErrors(t *testing.T) {
-	if _, err := RunKernels(Base64(2), []string{"matblock"}, 100); err == nil {
-		t.Error("kernel count mismatch accepted")
+	one, two := Base64(1), Base64(2)
+	cases := []struct {
+		name  string
+		req   Request
+		field string
+	}{
+		{"kernel count mismatch", Request{Config: &two, Kernels: []string{"matblock"}, Insts: 100}, "kernels"},
+		{"unknown kernel", Request{Config: &one, Kernels: []string{"nope"}, Insts: 100}, "kernels"},
+		{"zero insts", Request{Config: &one, Kernels: []string{"matblock"}}, "insts"},
+		{"negative warmup", Request{Config: &one, Kernels: []string{"matblock"}, Warmup: i64p(-1), Insts: 100}, "warmup"},
 	}
-	if _, err := RunKernels(Base64(1), []string{"nope"}, 100); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	if _, err := RunKernels(Base64(1), []string{"matblock"}, 0); err == nil {
-		t.Error("zero instruction budget accepted")
-	}
-	if _, err := RunMixWarm(Base64(1), mustKernels(t, "matblock"), -1, 100); err == nil {
-		t.Error("negative warmup accepted")
-	}
-	if _, err := RunMix(Base64(1), []*Kernel{nil}, 100); err == nil {
-		t.Error("nil kernel accepted")
+	for _, tc := range cases {
+		_, err := Run(context.Background(), tc.req)
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%s: got %v, want a *FieldError on %q", tc.name, err, tc.field)
+		}
 	}
 }
 
@@ -81,17 +89,4 @@ func TestPresetAccessors(t *testing.T) {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
-}
-
-func mustKernels(t *testing.T, names ...string) []*Kernel {
-	t.Helper()
-	out := make([]*Kernel, len(names))
-	for i, n := range names {
-		k, err := KernelByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = k
-	}
-	return out
 }
