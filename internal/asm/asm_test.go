@@ -2,8 +2,6 @@ package asm
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -34,14 +32,11 @@ func run(t *testing.T, src string) *machine {
 	return m
 }
 
-// replayStep re-executes one instruction without appending to the
-// schedule (a second unroll would double it).
+// replayStep re-executes one instruction, discarding the micro-op it
+// lowers to.
 func replayStep(p *Program, m *machine, pc int) int {
-	saved := p.schedule
-	p.schedule = nil
-	next := p.step(m, pc)
-	p.schedule = saved
-	return next
+	var discard isa.Inst
+	return p.step(m, pc, &discard)
 }
 
 func TestArithmeticSemantics(t *testing.T) {
@@ -156,7 +151,8 @@ top:
 	if p.ScheduleLen() != 9 {
 		t.Fatalf("schedule length %d, want 9", p.ScheduleLen())
 	}
-	last := p.schedule[len(p.schedule)-1]
+	sched := p.schedule()
+	last := sched[len(sched)-1]
 	if last.Op != isa.OpBranch || !last.Taken || last.Target != p.PCBase() {
 		t.Fatalf("closing back edge %+v does not branch to pcBase %#x", last, p.PCBase())
 	}
@@ -166,7 +162,7 @@ top:
 	// The two taken blt iterations target the static PC of "top".
 	topPC := p.PCBase() + 2*4
 	var takenBlt, untakenBlt int
-	for _, u := range p.schedule[:len(p.schedule)-1] {
+	for _, u := range sched[:len(sched)-1] {
 		if u.Op != isa.OpBranch {
 			continue
 		}
@@ -186,7 +182,7 @@ top:
 
 func TestLoweringOperands(t *testing.T) {
 	p := mustAssemble(t, "li x1, 0x40\nlw x2, 4(x1)\nsw x2, 8(x1)\nfence\n")
-	s := p.schedule
+	s := p.schedule()
 	ld, st, fe := s[1], s[2], s[3]
 	if ld.Op != isa.OpLoad || ld.Dest != 2 || ld.Srcs[0] != 1 || ld.Addr != 0x44 || ld.Size != 4 {
 		t.Fatalf("load lowering wrong: %+v", ld)
@@ -199,7 +195,7 @@ func TestLoweringOperands(t *testing.T) {
 	}
 	// FP registers land in the upper operand space.
 	p = mustAssemble(t, "li x1, 0x40\nflw f3, 0(x1)\nfadd.s f4, f3, f3\n")
-	fa := p.schedule[2]
+	fa := p.schedule()[2]
 	if fa.Op != isa.OpFPAdd || fa.Dest != 32+4 || fa.Srcs[0] != 32+3 {
 		t.Fatalf("fadd lowering wrong: %+v", fa)
 	}
@@ -275,23 +271,10 @@ func TestLoopBoundCap(t *testing.T) {
 }
 
 func TestCanonicalRoundTrip(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "asm")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
-	}
-	tested := 0
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".s" {
-			continue
-		}
-		tested++
-		t.Run(e.Name(), func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := mustAssemble(t, string(src))
+	names, srcs := testdataPrograms(t)
+	for i, src := range srcs {
+		t.Run(names[i], func(t *testing.T) {
+			p := mustAssemble(t, src)
 			canon := p.String()
 			p2, aerr := Assemble(canon, Options{})
 			if aerr != nil {
@@ -308,30 +291,16 @@ func TestCanonicalRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	if tested == 0 {
-		t.Fatal("no .s files found in testdata/asm")
-	}
 }
 
 func TestTestdataProgramsAssemble(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "asm")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".s" {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := mustAssemble(t, string(src))
+	names, srcs := testdataPrograms(t)
+	for i, src := range srcs {
+		p := mustAssemble(t, src)
 		if p.ScheduleLen() < 100 {
-			t.Errorf("%s: suspiciously short schedule (%d dynamic instructions)", e.Name(), p.ScheduleLen())
+			t.Errorf("%s: suspiciously short schedule (%d dynamic instructions)", names[i], p.ScheduleLen())
 		}
-		t.Logf("%s: %d static, %d dynamic, fp %s", e.Name(), p.StaticLen(), p.ScheduleLen(), p.Fingerprint())
+		t.Logf("%s: %d static, %d dynamic, fp %s", names[i], p.StaticLen(), p.ScheduleLen(), p.Fingerprint())
 	}
 }
 

@@ -2,9 +2,12 @@ package asm
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 
 	"shelfsim/internal/isa"
 )
@@ -51,18 +54,31 @@ type Options struct {
 // synthetic kernels emit. A pass must end within the .loop bound
 // (DefaultScheduleBound without the directive): a program that loops
 // forever fails to assemble instead of hanging the simulator.
+//
+// Assemble emulates the pass once, fingerprinting each micro-op as it is
+// emitted and counting the schedule length, but keeps no schedule. The
+// []isa.Inst schedule is built on the first NewStream, at its exact
+// length, by re-running the same deterministic emulator; a program that
+// is only fingerprinted (a cache hit) never allocates one.
 type Program struct {
 	name  string
 	bound int64
 	insts []Instruction
+	// specs holds each static instruction's resolved mnemonic spec, so
+	// the emulator looks the table up once per instruction, not once per
+	// dynamic step.
+	specs []spec
 
 	pcBase   uint64
-	schedule []isa.Inst
 	fp       string
+	schedLen int
+
+	schedOnce sync.Once
+	sched     []isa.Inst
 }
 
-// Assemble lexes, parses, resolves and unrolls one program. Every
-// failure is a positioned *Error.
+// Assemble lexes, parses, resolves and emulates one program, computing
+// its schedule fingerprint. Every failure is a positioned *Error.
 func Assemble(src string, opt Options) (*Program, error) {
 	f, perr := parse(src)
 	if perr != nil {
@@ -87,12 +103,18 @@ func Assemble(src string, opt Options) (*Program, error) {
 		return nil, errf(pos, ".loop bound %d exceeds the limit %d", bound, maxSched)
 	}
 
-	p := &Program{name: f.Name, bound: bound, insts: f.Insts}
+	p := &Program{name: f.Name, bound: bound, insts: f.Insts, specs: make([]spec, len(f.Insts))}
+	for i := range f.Insts {
+		p.specs[i] = specs[f.Insts[i].Mnemonic]
+	}
 	p.pcBase = pcRegion | (staticHash(f.Name, bound, f.Insts)&0xffff)<<6
-	if err := p.unroll(); err != nil {
+	h := newScheduleHasher(p)
+	n, err := p.unroll(h.add)
+	if err != nil {
 		return nil, err
 	}
-	p.fp = scheduleHash(p.schedule)
+	p.schedLen = n
+	p.fp = h.sum()
 	return p, nil
 }
 
@@ -110,19 +132,61 @@ func staticHash(name string, bound int64, insts []Instruction) uint64 {
 	return h.Sum64()
 }
 
-// scheduleHash fingerprints the unrolled execution schedule — everything
-// the stream will emit, and therefore everything that can influence the
-// simulation.
-func scheduleHash(sched []isa.Inst) string {
-	h := fnv.New64a()
-	for i := range sched {
-		u := &sched[i]
-		fmt.Fprintf(h, "%x %d %d %d,%d,%d %x %d %t %x|",
-			u.PC, u.Op, u.Dest, u.Srcs[0], u.Srcs[1], u.Srcs[2],
-			u.Addr, u.Size, u.Taken, u.Target)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
+// scheduleHasher fingerprints the unrolled execution schedule —
+// everything the stream will emit, and therefore everything that can
+// influence the simulation — one micro-op at a time. Each micro-op is
+// rendered as the text "%x %d %d %d,%d,%d %x %d %t %x|" of its PC, Op,
+// Dest, Srcs, Addr, Size, Taken and Target, built with strconv into one
+// reused buffer, and fed to FNV-1a. PC, Op, Dest and Srcs are fixed by
+// the static instruction, so their rendering is cached per static PC.
+type scheduleHasher struct {
+	h      hash.Hash64
+	pcBase uint64
+	prefix [][]byte // indexed by static instruction, the back edge last
+	buf    []byte
 }
+
+func newScheduleHasher(p *Program) *scheduleHasher {
+	return &scheduleHasher{
+		h:      fnv.New64a(),
+		pcBase: p.pcBase,
+		prefix: make([][]byte, len(p.insts)+1),
+		buf:    make([]byte, 0, 128),
+	}
+}
+
+func (s *scheduleHasher) add(u isa.Inst) {
+	i := (u.PC - s.pcBase) / 4
+	b := s.prefix[i]
+	if b == nil {
+		b = strconv.AppendUint(s.buf[:0], u.PC, 16)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(u.Op), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(u.Dest), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(u.Srcs[0]), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(u.Srcs[1]), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(u.Srcs[2]), 10)
+		b = append(b, ' ')
+		s.prefix[i] = append([]byte(nil), b...)
+	}
+	b = append(s.buf[:0], b...)
+	b = strconv.AppendUint(b, u.Addr, 16)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, uint64(u.Size), 10)
+	b = append(b, ' ')
+	b = strconv.AppendBool(b, u.Taken)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, u.Target, 16)
+	b = append(b, '|')
+	s.h.Write(b)
+	s.buf = b
+}
+
+func (s *scheduleHasher) sum() string { return fmt.Sprintf("%016x", s.h.Sum64()) }
 
 // Name returns the program's .name (or "asm").
 func (p *Program) Name() string { return p.name }
@@ -134,8 +198,9 @@ func (p *Program) Bound() int64 { return p.bound }
 func (p *Program) StaticLen() int { return len(p.insts) }
 
 // ScheduleLen returns the unrolled schedule length, including the
-// closing back-edge branch.
-func (p *Program) ScheduleLen() int { return len(p.schedule) }
+// closing back-edge branch. It is known from assembly; it does not build
+// the schedule.
+func (p *Program) ScheduleLen() int { return p.schedLen }
 
 // PCBase returns the program's first instruction address.
 func (p *Program) PCBase() uint64 { return p.pcBase }
@@ -143,6 +208,23 @@ func (p *Program) PCBase() uint64 { return p.pcBase }
 // Fingerprint returns a stable hash of the unrolled execution schedule:
 // two programs with equal fingerprints drive the simulator identically.
 func (p *Program) Fingerprint() string { return p.fp }
+
+// schedule returns the unrolled execution schedule, building it on the
+// first call by re-running the emulator Assemble fingerprinted. The
+// emulator is deterministic and that run succeeded, so a failure or a
+// length change here is a bug.
+func (p *Program) schedule() []isa.Inst {
+	p.schedOnce.Do(func() {
+		sched := make([]isa.Inst, 0, p.schedLen)
+		n, err := p.unroll(func(u isa.Inst) { sched = append(sched, u) })
+		if err != nil || n != p.schedLen {
+			panic(fmt.Sprintf("asm: re-unrolling %s gave %d instructions (err %v), assembly counted %d",
+				p.name, n, err, p.schedLen))
+		}
+		p.sched = sched
+	})
+	return p.sched
+}
 
 // pcOf returns the static PC of instruction index i (i == len(insts) is
 // the wrap point, where the closing back edge lives).
@@ -202,21 +284,24 @@ func signExtend(v uint32, size uint8) uint32 {
 	return uint32(int32(v<<shift) >> shift)
 }
 
-// unroll emulates one pass of the program, emitting the execution
-// schedule, and closes it with the back-edge branch.
-func (p *Program) unroll() *Error {
+// unroll emulates one pass of the program, handing each dynamic micro-op
+// to emit in order, closes the pass with the back-edge branch, and
+// returns the schedule length.
+func (p *Program) unroll(emit func(isa.Inst)) (int, *Error) {
 	m := &machine{mem: make(map[uint32]byte)}
-	pc := 0
-	for pc < len(p.insts) {
-		if int64(len(p.schedule)) >= p.bound {
+	var n int64
+	for pc := 0; pc < len(p.insts); n++ {
+		if n >= p.bound {
 			in := &p.insts[pc]
-			return errf(in.Pos,
+			return 0, errf(in.Pos,
 				"execution schedule exceeded the .loop bound %d before falling through the end (one pass of the program is unrolled and replayed; close infinite loops by falling through instead)",
 				p.bound)
 		}
-		pc = p.step(m, pc)
+		var u isa.Inst
+		pc = p.step(m, pc, &u)
+		emit(u)
 	}
-	p.schedule = append(p.schedule, isa.Inst{
+	emit(isa.Inst{
 		PC:     p.pcOf(len(p.insts)),
 		Op:     isa.OpBranch,
 		Dest:   isa.RegInvalid,
@@ -224,15 +309,15 @@ func (p *Program) unroll() *Error {
 		Taken:  true,
 		Target: p.pcOf(0),
 	})
-	return nil
+	return int(n) + 1, nil
 }
 
-// step emulates the instruction at static index pc, appends its dynamic
-// micro-op to the schedule and returns the next static index.
-func (p *Program) step(m *machine, pc int) int {
+// step emulates the instruction at static index pc, lowers it into the
+// dynamic micro-op *u and returns the next static index.
+func (p *Program) step(m *machine, pc int, u *isa.Inst) int {
 	in := &p.insts[pc]
-	sp := specs[in.Mnemonic]
-	u := isa.Inst{
+	sp := &p.specs[pc]
+	*u = isa.Inst{
 		PC:   p.pcOf(pc),
 		Op:   sp.class,
 		Dest: isa.RegInvalid,
@@ -335,7 +420,6 @@ func (p *Program) step(m *machine, pc int) int {
 		next = in.Target
 	}
 
-	p.schedule = append(p.schedule, u)
 	return next
 }
 

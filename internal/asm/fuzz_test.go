@@ -13,6 +13,9 @@ import (
 //     and an identical execution-schedule fingerprint. The canonical
 //     rendering is the workload's cache identity, so a non-fixpoint
 //     rendering would split cache entries between spellings.
+//  3. The fingerprint Assemble streams out while emulating equals the
+//     reference fmt formula over the schedule NewStream replays, and
+//     that schedule is ScheduleLen long.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		"",
@@ -47,6 +50,13 @@ func FuzzAssemble(f *testing.F) {
 				t.Fatalf("unpositioned diagnostic %+v", ae)
 			}
 			return
+		}
+		sched := p.schedule()
+		if len(sched) != p.ScheduleLen() {
+			t.Fatalf("schedule has %d instructions, ScheduleLen says %d", len(sched), p.ScheduleLen())
+		}
+		if want := referenceScheduleHash(sched); p.Fingerprint() != want {
+			t.Fatalf("fingerprint %s, reference formula gives %s\nsource: %q", p.Fingerprint(), want, src)
 		}
 		canon := p.String()
 		p2, err2 := Assemble(canon, opt)

@@ -11,27 +11,29 @@ import (
 // biasing memory addresses by the thread's data base so per-thread
 // copies of the same program touch disjoint memory.
 type programStream struct {
-	p    *Program
-	base uint64
-	pos  int
+	name  string
+	sched []isa.Inst
+	base  uint64
+	pos   int
 }
 
 // NewStream returns an endless isa.Stream replaying the program's
 // execution schedule with memory addresses offset by base. Each call
-// yields an independent cursor over the shared immutable schedule.
+// yields an independent cursor over the shared immutable schedule; the
+// first call builds it.
 func (p *Program) NewStream(base uint64) isa.Stream {
-	return &programStream{p: p, base: base}
+	return &programStream{name: p.name, sched: p.schedule(), base: base}
 }
 
-func (s *programStream) Name() string { return s.p.name }
+func (s *programStream) Name() string { return s.name }
 
 func (s *programStream) Next(out *isa.Inst) bool {
-	*out = s.p.schedule[s.pos]
+	*out = s.sched[s.pos]
 	if out.Op == isa.OpLoad || out.Op == isa.OpStore {
 		out.Addr += s.base
 	}
 	s.pos++
-	if s.pos == len(s.p.schedule) {
+	if s.pos == len(s.sched) {
 		s.pos = 0
 	}
 	return true

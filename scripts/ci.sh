@@ -60,6 +60,12 @@ go test -race -count=1 -run TestAsmGoldenFingerprints .
 # past discoveries as regression seeds.
 go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 
+# Lazy-schedule race gate, explicitly under -race and repeated: Assemble
+# keeps no schedule, and the first NewStream builds it once behind a
+# sync.Once. Goroutines opening streams on one fresh Program at the same
+# time must race-free replay identical schedules.
+go test -race -count=10 -run TestConcurrentNewStream ./internal/asm/
+
 # Supervised-run fuzz, same fixed budget: over fuzzed kernel selections,
 # stream seeds and thread counts with the invariant checker on, no panic
 # escapes the runner's supervised path and every thread retires its whole
@@ -180,6 +186,9 @@ if ! "$SHELFLITMUS" -n 300 -seed 2 -preset shelf64-opt -steer all-shelf \
     exit 1
 fi
 
+# The benchmark-output awk patterns below accept the optional -N
+# GOMAXPROCS suffix Go appends to benchmark names on multi-CPU hosts.
+#
 # Telemetry overhead gate. The telemetry-off hot path differs from the seed
 # only by nil-receiver checks on the collector, so off-vs-on measured in one
 # process is the stable proxy for off-vs-seed (a cross-commit rerun would
@@ -190,8 +199,8 @@ fi
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorThroughputTelemetry$|BenchmarkSimulatorThroughputBase$' \
     -benchtime 2x -count 3 . | tee /tmp/bench_obs.txt
 awk '
-    /^BenchmarkSimulatorThroughput /          { if ($(NF-1) > off) off = $(NF-1) }
-    /^BenchmarkSimulatorThroughputTelemetry / { if ($(NF-1) > on)  on  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? /          { if ($(NF-1) > off) off = $(NF-1) }
+    /^BenchmarkSimulatorThroughputTelemetry(-[0-9]+)? / { if ($(NF-1) > on)  on  = $(NF-1) }
     END {
         if (off == 0 || on == 0) { print "missing benchmark output"; exit 1 }
         overhead = 1 - on / off
@@ -216,8 +225,8 @@ cat BENCH_obs.json
 SHELF_BASELINE=$(sed -n 's/.*"shelf64_insts_per_s": *\([0-9][0-9]*\).*/\1/p' scripts/bench_core_baseline.json)
 BASE_BASELINE=$(sed -n 's/.*"base64_insts_per_s": *\([0-9][0-9]*\).*/\1/p' scripts/bench_core_baseline.json)
 awk -v shelf_ref="$SHELF_BASELINE" -v base_ref="$BASE_BASELINE" '
-    /^BenchmarkSimulatorThroughput /     { if ($(NF-1) > shelf) shelf = $(NF-1) }
-    /^BenchmarkSimulatorThroughputBase / { if ($(NF-1) > base)  base  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? /     { if ($(NF-1) > shelf) shelf = $(NF-1) }
+    /^BenchmarkSimulatorThroughputBase(-[0-9]+)? / { if ($(NF-1) > base)  base  = $(NF-1) }
     END {
         if (shelf == 0 || base == 0) { print "missing core benchmark output"; exit 1 }
         if (shelf_ref == 0 || base_ref == 0) { print "missing bench_core_baseline.json values"; exit 1 }
@@ -247,8 +256,8 @@ NCPU="$(nproc 2>/dev/null || echo 1)"
 go test -run '^$' -bench 'BenchmarkChipThroughput$' -benchtime 2x -count 3 . | tee /tmp/bench_chip.txt
 MIN_EFF=$(sed -n 's/.*"min_scaling_efficiency": *\([0-9.][0-9.]*\).*/\1/p' scripts/bench_chip_baseline.json)
 awk -v ncpu="$NCPU" -v min_eff="$MIN_EFF" '
-    /^BenchmarkSimulatorThroughput / { if ($(NF-1) > shelf) shelf = $(NF-1) }
-    /^BenchmarkChipThroughput /      { if ($(NF-1) > chip)  chip  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? / { if ($(NF-1) > shelf) shelf = $(NF-1) }
+    /^BenchmarkChipThroughput(-[0-9]+)? /      { if ($(NF-1) > chip)  chip  = $(NF-1) }
     END {
         if (shelf == 0 || chip == 0) { print "missing chip benchmark output"; exit 1 }
         if (min_eff == "") { print "missing bench_chip_baseline.json floor"; exit 1 }
