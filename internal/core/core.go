@@ -43,6 +43,8 @@ type Core struct {
 	wakeup       [][]*uop
 	readyq       []*uop
 	cycleWakeups int64
+	// selectq is issue's per-cycle scratch: the ready set sorted by age.
+	selectq []*uop
 
 	// Allocation-free hot path: uopFree recycles micro-ops at retire and
 	// squash so steady state allocates nothing per instruction;
@@ -55,9 +57,14 @@ type Core struct {
 	// orderedIQRemoval restores the legacy order-preserving IQ deletion;
 	// it exists only for the swap-removal equivalence test.
 	orderedIQRemoval bool
+	// classifyCrossCheck runs the full classification walk beside the
+	// O(1) early exit on every issue and fails on disagreement; it exists
+	// only for the classify equivalence test.
+	classifyCrossCheck bool
 
-	// events is a min-heap of pending completions ordered by cycle.
-	events eventHeap
+	// events is the completion calendar: pending writebacks bucketed by
+	// cycle, gseq-ordered within a cycle (events.go).
+	events calendar
 
 	// Functional units: pipelined classes are per-cycle counters;
 	// unpipelined divides reserve a unit until done.
@@ -68,6 +75,9 @@ type Core struct {
 
 	// fetchRR breaks ICOUNT ties round-robin.
 	fetchRR int
+	// rotate is cycle mod the thread count, kept by compare-and-wrap in
+	// Step: dispatch and retire rotate their thread priority from it.
+	rotate int
 
 	// faultInjected disarms Config.InjectFaultCycle after its corruption
 	// has been applied (the injection is armed, not exact-cycle: some fault
@@ -131,11 +141,11 @@ func New(cfg config.Config, streams []isa.Stream) (*Core, error) {
 	c.iq = make([]*uop, 0, cfg.IQ)
 	c.wakeup = make([][]*uop, c.numPRIs+c.extSize)
 	c.readyq = make([]*uop, 0, cfg.IQ)
+	c.selectq = make([]*uop, 0, cfg.IQ)
 	c.invSeen = make([]bool, c.numPRIs+c.extSize)
 	windowCap := cfg.ROB + cfg.Shelf + cfg.Threads*cfg.FetchWidth*cfg.FetchToDispatch
 	c.uopFree = make([]*uop, 0, windowCap)
 	c.squashScratch = make([]*uop, 0, windowCap)
-	c.events.h = make([]event, 0, windowCap)
 	c.fuBusyUntil.intMD = make([]int64, cfg.IntMultDiv)
 	c.fuBusyUntil.fp = make([]int64, cfg.FPUnits)
 
@@ -218,6 +228,9 @@ func (c *Core) Done() bool {
 func (c *Core) Step() {
 	c.cycle++
 	now := c.cycle
+	if c.rotate++; c.rotate == len(c.threads) {
+		c.rotate = 0
+	}
 
 	// Per-cycle state ticks.
 	for _, t := range c.threads {

@@ -10,7 +10,7 @@ import (
 func (c *Core) DebugDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "cycle=%d iq=%d events=%d freePRI=%d freeExt=%d\n",
-		c.cycle, len(c.iq), len(c.events.h), len(c.freePRI), len(c.freeExt))
+		c.cycle, len(c.iq), c.events.pending, len(c.freePRI), len(c.freeExt))
 	for _, t := range c.threads {
 		fmt.Fprintf(&b, "thread %d: done=%v fetchSeq=%d pulled=%d fetchQ=%d inflight=%d nextFetch=%d blocked=%v\n",
 			t.id, t.done, t.fetchSeq, t.pulled, t.fetchQLen(), len(t.inflight),

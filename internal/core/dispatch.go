@@ -9,9 +9,12 @@ import "shelfsim/internal/isa"
 func (c *Core) dispatch(now int64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := int(now) % n // rotate priority so no thread starves
+	j := c.rotate // rotate priority so no thread starves
 	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(start+i)%n]
+		t := c.threads[j]
+		if j++; j == n {
+			j = 0
+		}
 		for budget > 0 {
 			if !c.dispatchOne(t, now) {
 				break
@@ -125,7 +128,7 @@ func (c *Core) insertWindow(t *thread, u *uop, now int64) {
 
 	if u.toShelf {
 		u.shelfIdx = t.shelfTail
-		t.shelf[u.shelfIdx%int64(t.shelfCap)] = u
+		t.shelf[t.shelfSlot(u.shelfIdx)] = u
 		t.shelfTail++
 		u.lastIQROBPos = t.lastIQPos
 		u.firstOfShelfRun = t.lastDispatchToIQ
@@ -134,8 +137,8 @@ func (c *Core) insertWindow(t *thread, u *uop, now int64) {
 		c.stats.ShelfWrites++
 	} else {
 		u.robPos = t.robAllocPos
-		t.rob[u.robPos%int64(t.robCap)] = u
-		t.itIssued[u.robPos%int64(t.robCap)] = false
+		t.rob[t.robSlot(u.robPos)] = u
+		t.itIssued[t.robSlot(u.robPos)] = false
 		t.robAllocPos++
 		t.lastIQPos = u.robPos
 		t.lastDispatchToIQ = true

@@ -7,84 +7,115 @@ import (
 	"shelfsim/internal/obs"
 )
 
-// event is a pending completion: at cycle, uop u's result becomes
-// available (writeback). Events are ordered by (cycle, gseq) so that elder
-// instructions' effects — in particular squashes — precede younger
-// completions in the same cycle.
-type event struct {
-	cycle int64
-	gseq  int64
-	u     *uop
+// calendarSlots is the completion calendar's ring size: one slot per
+// cycle, a power of two covering the default hierarchy's DRAM round trip
+// (1 + L1D + L2 + memory latency = 235 cycles). Completions further out
+// (MSHR-queued misses, slower memory configurations) wait on the overflow
+// chain until they come within range.
+const calendarSlots = 256
+
+// calendar holds pending completions (writebacks) bucketed by cycle. Every
+// completion is scheduled at least one cycle ahead and drainEvents runs
+// every cycle, so slot cycle&mask drains exactly on its cycle. Each slot
+// chains its ops through uop.evNext in gseq order, which is the (cycle,
+// gseq) order the pipeline depends on: elder instructions' effects — in
+// particular squashes — precede younger completions in the same cycle.
+// The chains are intrusive, so steady state allocates nothing.
+type calendar struct {
+	slots [calendarSlots]calSlot
+	// overflow chains, unordered, the completions beyond the ring when
+	// they were scheduled; overflowMin is their earliest cycle.
+	overflow    *uop
+	overflowMin int64
+	// pending counts scheduled, undrained completions.
+	pending int
 }
 
-// eventHeap is a binary min-heap of events. It is hand-rolled rather than
-// wrapping container/heap to avoid interface boxing in the hot loop.
-type eventHeap struct {
-	h []event
+// calSlot is one cycle's completions, gseq-ascending from head to tail.
+type calSlot struct {
+	head, tail *uop
 }
 
-func eventLess(a, b event) bool {
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
-	}
-	return a.gseq < b.gseq
-}
-
-// push inserts an event.
-func (eh *eventHeap) push(e event) {
-	eh.h = append(eh.h, e)
-	i := len(eh.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(eh.h[i], eh.h[parent]) {
-			break
+// push schedules u to complete at u.completeCycle, which the caller
+// guarantees lies after now, the current (already drained) cycle.
+func (q *calendar) push(u *uop, now int64) {
+	q.pending++
+	if u.completeCycle-now > calendarSlots {
+		if q.overflow == nil || u.completeCycle < q.overflowMin {
+			q.overflowMin = u.completeCycle
 		}
-		eh.h[i], eh.h[parent] = eh.h[parent], eh.h[i]
-		i = parent
+		u.evNext = q.overflow
+		q.overflow = u
+		return
+	}
+	q.insert(u)
+}
+
+// insert links u into its cycle's slot in gseq order. Ops mostly arrive
+// in age order, so the append at the tail is the common case.
+func (q *calendar) insert(u *uop) {
+	s := &q.slots[u.completeCycle&(calendarSlots-1)]
+	switch {
+	case s.head == nil:
+		u.evNext = nil
+		s.head, s.tail = u, u
+	case s.tail.gseq < u.gseq:
+		u.evNext = nil
+		s.tail.evNext = u
+		s.tail = u
+	case u.gseq < s.head.gseq:
+		u.evNext = s.head
+		s.head = u
+	default:
+		prev := s.head
+		for prev.evNext.gseq < u.gseq {
+			prev = prev.evNext
+		}
+		u.evNext = prev.evNext
+		prev.evNext = u
 	}
 }
 
-// pop removes and returns the earliest event; callers must check len first.
-func (eh *eventHeap) pop() event {
-	top := eh.h[0]
-	last := len(eh.h) - 1
-	eh.h[0] = eh.h[last]
-	eh.h = eh.h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(eh.h) && eventLess(eh.h[l], eh.h[smallest]) {
-			smallest = l
+// take detaches and returns the chain of completions due at cycle now, in
+// gseq order. Overflow completions that have come within the ring's range
+// [now, now+calendarSlots) move into their slots first.
+func (q *calendar) take(now int64) *uop {
+	if q.overflow != nil && q.overflowMin-now < calendarSlots {
+		var keep *uop
+		u := q.overflow
+		for u != nil {
+			next := u.evNext
+			if u.completeCycle-now < calendarSlots {
+				q.insert(u)
+			} else {
+				if keep == nil || u.completeCycle < q.overflowMin {
+					q.overflowMin = u.completeCycle
+				}
+				u.evNext = keep
+				keep = u
+			}
+			u = next
 		}
-		if r < len(eh.h) && eventLess(eh.h[r], eh.h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		eh.h[i], eh.h[smallest] = eh.h[smallest], eh.h[i]
-		i = smallest
+		q.overflow = keep
 	}
+	s := &q.slots[now&(calendarSlots-1)]
+	head := s.head
+	s.head, s.tail = nil, nil
+	return head
 }
 
-// peekCycle returns the earliest pending cycle, or false if empty.
-func (eh *eventHeap) peekCycle() (int64, bool) {
-	if len(eh.h) == 0 {
-		return 0, false
-	}
-	return eh.h[0].cycle, true
-}
-
-// drainEvents processes all completions due at or before now.
+// drainEvents processes all completions due at now.
 func (c *Core) drainEvents(now int64) {
-	for {
-		cy, ok := c.events.peekCycle()
-		if !ok || cy > now {
-			return
+	u := c.events.take(now)
+	for u != nil {
+		next := u.evNext
+		u.evNext = nil
+		c.events.pending--
+		if u.completeCycle != now {
+			c.fail(u.tid, "event-order", "completion of %v due at cycle %d drained at %d", u, u.completeCycle, now)
 		}
-		e := c.events.pop()
-		c.complete(e.u, now)
+		c.complete(u, now)
+		u = next
 	}
 }
 
@@ -97,7 +128,7 @@ func (c *Core) complete(u *uop, now int64) {
 		// without writing back. Its shelf index becomes reusable.
 		u.state = stateSquashed
 		if u.toShelf && t.shelfCap > 0 {
-			t.shelfIndexBusy[u.shelfIdx%int64(2*t.shelfCap)] = false
+			t.shelfIndexBusy[t.spanSlot(u.shelfIdx)] = false
 		}
 		c.stats.SquashedWritebacksFiltered++
 		// The drained op's last reference (this event) is gone: recycle.
@@ -145,8 +176,7 @@ func (c *Core) complete(u *uop, now int64) {
 // coordinated with the ROB through the shelf retire bitvector (§III-B).
 func (c *Core) retireShelfOp(t *thread, u *uop, now int64) {
 	u.state = stateRetired
-	span := int64(2 * t.shelfCap)
-	t.shelfRetired[u.shelfIdx%span] = true
+	t.shelfRetired[t.spanSlot(u.shelfIdx)] = true
 	t.advanceShelfRetire()
 
 	// Return the replaced extension tag, if any (§III-C): the previous

@@ -39,6 +39,11 @@ func (c *Core) WindowEmpty() bool {
 // simulation outcome.
 func (c *Core) SetOrderedIQRemoval(v bool) { c.orderedIQRemoval = v }
 
+// SetClassifyCrossCheck makes every issue compare classifyAtIssue's O(1)
+// early exit against the full in-flight walk, failing with a
+// "classify-exit" InvariantError on disagreement.
+func (c *Core) SetClassifyCrossCheck(v bool) { c.classifyCrossCheck = v }
+
 // RetiredOf returns a thread's retirement count.
 func (c *Core) RetiredOf(tid int) int64 { return c.threads[tid].retired }
 

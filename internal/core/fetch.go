@@ -18,7 +18,9 @@ func (c *Core) fetch(now int64) {
 	if t == nil {
 		return
 	}
-	c.fetchRR = (t.id + 1) % len(c.threads)
+	if c.fetchRR = t.id + 1; c.fetchRR == len(c.threads) {
+		c.fetchRR = 0
+	}
 
 	// Instruction cache access for this fetch group.
 	first, ok := t.peekInst(t.fetchSeq)
@@ -77,8 +79,13 @@ func (c *Core) fetch(now int64) {
 func (c *Core) pickFetchThread(now int64) *thread {
 	var best *thread
 	bestCount := 0
-	for i := 0; i < len(c.threads); i++ {
-		t := c.threads[(c.fetchRR+i)%len(c.threads)]
+	n := len(c.threads)
+	j := c.fetchRR
+	for i := 0; i < n; i++ {
+		t := c.threads[j]
+		if j++; j == n {
+			j = 0
+		}
 		if t.done || t.fetchBlockedOn != nil || t.nextFetchCycle > now {
 			continue
 		}

@@ -294,7 +294,7 @@ func (c *Core) checkThread(t *thread) *InvariantError {
 	}
 	var prevROBSeq int64 = -1
 	for pos := t.robHead; pos < t.robAllocPos; pos++ {
-		u := t.rob[pos%int64(t.robCap)]
+		u := t.rob[t.robSlot(pos)]
 		if u == nil || u.robPos != pos || u.tid != t.id || u.toShelf {
 			return c.inv(t.id, "rob-order", "ROB slot %d holds %v", pos, u)
 		}
@@ -303,7 +303,7 @@ func (c *Core) checkThread(t *thread) *InvariantError {
 		}
 		prevROBSeq = u.seq
 		if pos >= t.itHead {
-			issued := t.itIssued[pos%int64(t.robCap)]
+			issued := t.itIssued[t.robSlot(pos)]
 			if issued && !u.issued() && u.state != stateSquashed {
 				return c.inv(t.id, "it-bitvector",
 					"issue bit set for pos %d but op is %v", pos, u.state)
@@ -442,7 +442,7 @@ func (c *Core) checkShelf(t *thread) *InvariantError {
 	// awaiting issue.
 	var prev int64 = -1
 	for idx := t.shelfHead; idx < t.shelfTail; idx++ {
-		u := t.shelf[idx%int64(t.shelfCap)]
+		u := t.shelf[t.shelfSlot(idx)]
 		if u == nil || !u.toShelf || u.tid != t.id || u.shelfIdx != idx {
 			return c.inv(t.id, "shelf-order", "shelf slot %d holds %v", idx, u)
 		}

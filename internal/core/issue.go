@@ -13,35 +13,48 @@ type fuState struct {
 // IQ and every thread's shelf head, subject to functional unit limits.
 // Under the optimistic microarchitecture assumption a shelf head may issue
 // in the same cycle as the last elder IQ instruction of its run; the
-// selection loop re-evaluates eligibility after every issue, which
+// selection loop re-evaluates shelf eligibility after every issue, which
 // naturally models that bypass. The conservative design checks run
 // eligibility against the cycle-start snapshot of the issue-tracking head.
 //
-// IQ candidates come from the incremental engine's ready set (sched.go):
-// tag readiness is static within a cycle (broadcasts happen in
-// drainEvents, renames after issue), so the ready set — minus entries the
-// reallocated-tag revalidation demotes — equals the rescan scheduler's
-// iqReady set and selection is cycle-exact across both.
+// IQ candidates come from the incremental engine's ready set (sched.go).
+// Tag readiness is static within a cycle (broadcasts happen in
+// drainEvents, renames after issue), so the reallocated-tag revalidation
+// runs once, and the surviving ready set — the rescan scheduler's iqReady
+// set — is sorted by age into selectq. Each slot's IQ pick is the eldest
+// candidate whose functional unit is free; a candidate whose unit is busy
+// stays unissuable for the rest of the cycle (units only fill up within
+// a cycle), so one cursor walks selectq once per cycle. The shelf heads
+// are still evaluated per slot, in thread order and only when elder than
+// the IQ pick, because shelfEligible copies the IQ SSR into the shelf SSR
+// as a side effect and the IQ SSR moves as ops issue. Selection is
+// cycle-exact with issueRescan.
 func (c *Core) issue(now int64) {
 	if c.cfg.RescanScheduler {
 		c.issueRescan(now)
 		return
 	}
-	issued := 0
-	var fs fuState
-	for issued < c.cfg.Width {
-		var best *uop
-		for i := 0; i < len(c.readyq); {
-			u := c.readyq[i]
-			if !c.recheckReady(u) {
-				c.demoteStale(u) // swap-removal: re-examine slot i
-				continue
-			}
-			if (best == nil || u.gseq < best.gseq) && c.fuFree(u, now, &fs) {
-				best = u
-			}
-			i++
+	for i := 0; i < len(c.readyq); {
+		u := c.readyq[i]
+		if !c.recheckReady(u) {
+			c.demoteStale(u) // swap-removal: re-examine slot i
+			continue
 		}
+		i++
+	}
+	cands := append(c.selectq[:0], c.readyq...)
+	sortByAge(cands)
+	next := 0
+	var fs fuState
+	for issued := 0; issued < c.cfg.Width; issued++ {
+		for next < len(cands) && !c.fuFree(cands[next], now, &fs) {
+			next++
+		}
+		var best *uop
+		if next < len(cands) {
+			best = cands[next]
+		}
+		iqPick := best
 		for _, t := range c.threads {
 			u := t.shelfOldest()
 			if u == nil || (best != nil && u.gseq >= best.gseq) {
@@ -52,11 +65,29 @@ func (c *Core) issue(now int64) {
 			}
 		}
 		if best == nil {
-			return
+			break
+		}
+		if best == iqPick {
+			next++
 		}
 		c.fuReserve(best, now, &fs)
 		c.issueOne(best, now)
-		issued++
+	}
+	clear(cands)
+	c.selectq = cands[:0]
+}
+
+// sortByAge orders q by gseq. An insertion sort: the ready set is small
+// and mostly arrives in age order, so it beats a general sort's dispatch
+// through a comparison function.
+func sortByAge(q []*uop) {
+	for i := 1; i < len(q); i++ {
+		u := q[i]
+		j := i
+		for ; j > 0 && q[j-1].gseq > u.gseq; j-- {
+			q[j] = q[j-1]
+		}
+		q[j] = u
 	}
 }
 
@@ -259,7 +290,7 @@ func (c *Core) issueOne(u *uop, now int64) {
 	} else {
 		c.removeFromIQ(u)
 		c.removeFromReady(u)
-		t.itIssued[u.robPos%int64(t.robCap)] = true
+		t.itIssued[t.robSlot(u.robPos)] = true
 		t.advanceITHead()
 		c.stats.IQReads++
 	}
@@ -302,7 +333,10 @@ func (c *Core) issueOne(u *uop, now int64) {
 	if c.hooks.issueFn != nil {
 		c.hooks.issueFn(u.tid, u.seq, u.toShelf)
 	}
-	c.events.push(event{cycle: u.completeCycle, gseq: u.gseq, u: u})
+	if u.completeCycle <= now {
+		c.fail(u.tid, "event-order", "op %v scheduled to complete at cycle %d, not after %d", u, u.completeCycle, now)
+	}
+	c.events.push(u, now)
 }
 
 // issueLoad resolves a load's timing: store-to-load forwarding from the

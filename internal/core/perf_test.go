@@ -39,6 +39,46 @@ func TestSwapIQRemovalMatchesOrdered(t *testing.T) {
 	}
 }
 
+// TestClassifyEarlyExitMatchesWalk proves classifyAtIssue's O(1) test of
+// condition (a) exact: with the cross-check on, every issue also scans the
+// in-flight list, and any disagreement fails the run with a
+// "classify-exit" InvariantError. Only the run-condition ablation lets a
+// shelf op issue ahead of an unissued IQ elder, so it runs too, over a
+// longer kernel set that reaches the boundary where the elder is the
+// shelf op's immediate IQ predecessor.
+func TestClassifyEarlyExitMatchesWalk(t *testing.T) {
+	noRunCond := config.Shelf64(4, true)
+	noRunCond.AblateNoRunCond = true
+	noRunCond.Name = "shelf64-norun"
+	type job struct {
+		cfg   config.Config
+		names []string
+		n     int64
+	}
+	var jobs []job
+	for _, cfg := range allConfigs(4) {
+		jobs = append(jobs, job{cfg, []string{"ptrchase", "ilpmax", "gups", "branchy"}, 800})
+	}
+	jobs = append(jobs, job{noRunCond, []string{"ptrchase", "ilpmax", "gups", "branchy"}, 800},
+		job{noRunCond, []string{"stencil", "fpdense", "loopcarry", "sortish"}, 3000})
+	for _, j := range jobs {
+		j := j
+		t.Run(j.cfg.Name+"/"+j.names[0], func(t *testing.T) {
+			c, err := New(j.cfg, kernelStreams(t, j.names, j.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetClassifyCrossCheck(true)
+			defer func() {
+				if rec := recover(); rec != nil {
+					t.Fatal(rec)
+				}
+			}()
+			run(t, c, 2_000_000)
+		})
+	}
+}
+
 // benchCore builds a warmed-up core over unbounded kernel streams.
 func benchCore(b *testing.B, cfg config.Config, names []string) *Core {
 	b.Helper()

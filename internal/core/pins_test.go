@@ -1,0 +1,138 @@
+package core
+
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"shelfsim/internal/config"
+	"shelfsim/internal/isa"
+	"shelfsim/internal/workload"
+)
+
+// Fingerprints pinned from the pipeline before its rings were indexed by
+// mask, its select loop made one-pass and its completion heap replaced by
+// a calendar. Each covers a case the preset goldens do not: a ROB ring
+// whose logical capacity is not a power of two, completions scheduled
+// beyond the calendar's ring, and the full Figure 10 job set.
+const (
+	pinROB96Shelf      = "28af1aa322fa7db1"
+	pinROB48Base       = "df04046469c77dad"
+	pinSlowMemory      = "f8f5d4859ebce5f7"
+	pinFig10Core       = "4b7dbd3e8e6f5ff2"
+	pinFig10CoreInsts  = 2000
+	pinFig10CoreWarmup = 1000
+)
+
+// runPinned runs cfg over bounded kernel streams with the per-cycle
+// invariant checker on, under both the incremental and the rescan
+// scheduler, and returns the fingerprint the two must share.
+func runPinned(t *testing.T, cfg config.Config, names []string, n int64) string {
+	t.Helper()
+	cfg.CheckInvariants = true
+	var fps [2]string
+	for i, rescan := range []bool{false, true} {
+		cfg.RescanScheduler = rescan
+		c, err := New(cfg, kernelStreams(t, names, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, c, 2_000_000)
+		r := c.Result()
+		fps[i] = r.Fingerprint()
+	}
+	if fps[0] != fps[1] {
+		t.Fatalf("incremental scheduler fingerprint %s != rescan %s", fps[0], fps[1])
+	}
+	return fps[0]
+}
+
+// TestNonPowerOfTwoPartitions pins ROB partitions of 24 entries, whose
+// ring storage rounds up to 32 slots: a 4-thread shelf64-opt with a
+// 96-entry ROB and a 2-thread base64 with a 48-entry ROB.
+func TestNonPowerOfTwoPartitions(t *testing.T) {
+	shelf := config.Shelf64(4, true)
+	shelf.ROB = 96
+	base := config.Base64(2)
+	base.ROB = 48
+	for _, tc := range []struct {
+		cfg   config.Config
+		names []string
+		want  string
+	}{
+		{shelf, []string{"ptrchase", "ilpmax", "gups", "branchy"}, pinROB96Shelf},
+		{base, []string{"stencil", "callret"}, pinROB48Base},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("%s-rob%d", tc.cfg.Name, tc.cfg.ROB), func(t *testing.T) {
+			if got := runPinned(t, tc.cfg, tc.names, 1500); got != tc.want {
+				t.Errorf("fingerprint %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSlowMemoryFingerprint runs a memory latency of 400 cycles, so every
+// DRAM miss completes beyond the completion calendar's ring and passes
+// through its overflow chain.
+func TestSlowMemoryFingerprint(t *testing.T) {
+	cfg := config.Shelf64(4, true)
+	cfg.Mem.MemLatencyCycles = 400
+	got := runPinned(t, cfg, []string{"gups", "ptrchase", "stream", "hashprobe"}, 1000)
+	if got != pinSlowMemory {
+		t.Errorf("fingerprint %s, pinned %s", got, pinSlowMemory)
+	}
+}
+
+// fig10Core runs the Figure 10 job set on bare cores — the four main
+// configurations over the first 16 4-thread paper mixes, each thread
+// warming up for pinFig10CoreWarmup instructions and measuring
+// pinFig10CoreInsts — and returns the combined fingerprint and the
+// instructions retired.
+func fig10Core(tb testing.TB) (string, int64) {
+	h := fnv.New64a()
+	var retired int64
+	cfgs := []config.Config{
+		config.Base64(4), config.Shelf64(4, false), config.Shelf64(4, true), config.Base128(4),
+	}
+	for _, cfg := range cfgs {
+		for _, mix := range workload.PaperMixes(4)[:16] {
+			streams := make([]isa.Stream, len(mix.Kernels))
+			for i, k := range mix.Kernels {
+				streams[i] = k.NewStream(uint64(i+1)<<32, uint64(i)+1, -1)
+			}
+			c, err := New(cfg, streams)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			c.SetRetireTargets(pinFig10CoreWarmup, pinFig10CoreInsts)
+			if _, ok := c.Run(50_000_000); !ok {
+				tb.Fatalf("%s/%s did not finish", cfg.Name, mix.Name())
+			}
+			r := c.Result()
+			fmt.Fprintf(h, "%s/%s=%s\n", cfg.Name, mix.Name(), r.Fingerprint())
+			retired += r.Stats.Retired
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), retired
+}
+
+// BenchmarkFig10Core times the fig10-batch job set on bare cores, with no
+// runner, harness or cache around them, and reports simulated Minst/s. It
+// fails if the combined fingerprint differs from the pinned one, so an A/B
+// of two commits also proves they simulate identically.
+//
+//	go test -run '^$' -bench BenchmarkFig10Core -benchtime 1x ./internal/core/
+func BenchmarkFig10Core(b *testing.B) {
+	var retired int64
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		fp, n := fig10Core(b)
+		if fp != pinFig10Core {
+			b.Fatalf("combined fingerprint %s, pinned %s", fp, pinFig10Core)
+		}
+		retired += n
+	}
+	b.ReportMetric(float64(retired)/time.Since(start).Seconds()/1e6, "Minst/s")
+}

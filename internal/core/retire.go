@@ -10,9 +10,15 @@ import "shelfsim/internal/isa"
 func (c *Core) retire(now int64) {
 	budget := c.cfg.Width
 	n := len(c.threads)
-	start := int(now+1) % n
+	j := c.rotate + 1 // one ahead of dispatch's rotation
+	if j == n {
+		j = 0
+	}
 	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(start+i)%n]
+		t := c.threads[j]
+		if j++; j == n {
+			j = 0
+		}
 		for budget > 0 {
 			if !c.retireOne(t, now) {
 				break

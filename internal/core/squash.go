@@ -136,7 +136,7 @@ func (c *Core) squashOne(t *thread, u *uop, minROBPos, minShelfIdx *int64) {
 		// reallocated until the op drains (§III-B).
 		u.squashPending = true
 		if u.toShelf {
-			t.shelfIndexBusy[u.shelfIdx%int64(2*t.shelfCap)] = true
+			t.shelfIndexBusy[t.spanSlot(u.shelfIdx)] = true
 			if *minShelfIdx < 0 || u.shelfIdx < *minShelfIdx {
 				*minShelfIdx = u.shelfIdx
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"shelfsim/internal/branch"
 	"shelfsim/internal/isa"
 	"shelfsim/internal/metrics"
@@ -102,13 +104,15 @@ type thread struct {
 	fetchBlockedOn *uop
 
 	// fetchQ is the front-end pipeline: fetched micro-ops waiting to
-	// dispatch, each dispatchable at its frontReadyCycle. A ring of fixed
-	// size fetchQCap (the fetch loop bounds occupancy to the capacity, so
-	// it never grows): fetchQN entries starting at fetchQHead.
+	// dispatch, each dispatchable at its frontReadyCycle. The fetch loop
+	// bounds occupancy to the logical capacity fetchQCap, so the ring
+	// never grows; its storage is rounded up to a power of two and indexed
+	// with fetchQMask: fetchQN entries starting at fetchQHead.
 	fetchQ     []*uop
 	fetchQHead int
 	fetchQN    int
 	fetchQCap  int
+	fetchQMask int
 
 	// inflight lists dispatched, not-yet-fully-retired micro-ops in
 	// program order (both IQ and shelf). It is a window into inflightBuf:
@@ -123,9 +127,12 @@ type thread struct {
 	ratPRI []int32
 	ratTag []int32
 
-	// ROB partition. Positions are monotone allocation indices; the ring
-	// is indexed pos % robCap.
+	// ROB partition. Positions are monotone allocation indices. robCap is
+	// the logical capacity; the ring's storage is rounded up to a power of
+	// two and indexed pos & robMask (robSlot). Live positions never span
+	// more than robCap, so they occupy distinct slots.
 	robCap      int
+	robMask     int64
 	rob         []*uop
 	robAllocPos int64
 	robHead     int64
@@ -133,19 +140,23 @@ type thread struct {
 	// dispatched IQ instruction (-1 before any).
 	lastIQPos int64
 
-	// Issue-tracking bitvector (§III-A): issued[pos%robCap] for positions
-	// in [itHead, robAllocPos). itHead is the oldest unissued IQ
+	// Issue-tracking bitvector (§III-A): itIssued[robSlot(pos)] for
+	// positions in [itHead, robAllocPos). itHead is the oldest unissued IQ
 	// position. itHeadSnapshot is itHead as of the start of the current
 	// cycle; the conservative microarchitecture uses the snapshot.
 	itIssued       []bool
 	itHead         int64
 	itHeadSnapshot int64
 
-	// Shelf partition (§III-A/B). Entries ring is indexed idx % shelfCap;
-	// the index space is doubled: idx % (2*shelfCap) names a virtual
-	// index. Occupied entries are [shelfHead, shelfTail).
+	// Shelf partition (§III-A/B). shelfCap is a power of two (config
+	// validation), so the entries ring is indexed idx & shelfMask and the
+	// doubled index space idx & spanMask (span 2*shelfCap, never rounded:
+	// shelfIndexFree relies on aliasing at exactly tail-span). Occupied
+	// entries are [shelfHead, shelfTail).
 	releaseAtWB bool
 	shelfCap    int
+	shelfMask   int64
+	spanMask    int64
 	shelf       []*uop
 	shelfTail   int64
 	shelfHead   int64
@@ -249,17 +260,23 @@ func newThread(c *Core, id int, stream isa.Stream) *thread {
 		oracleReady:      make([]int64, isa.NumArchRegs),
 	}
 	t.releaseAtWB = cfg.ShelfReleaseAtWriteback
-	t.rob = make([]*uop, t.robCap)
-	t.itIssued = make([]bool, t.robCap)
+	robStore := ringSize(t.robCap)
+	t.robMask = int64(robStore - 1)
+	t.rob = make([]*uop, robStore)
+	t.itIssued = make([]bool, robStore)
 	t.shelfCap = cfg.ShelfPerThread()
 	if t.shelfCap > 0 {
+		t.shelfMask = int64(t.shelfCap - 1)
+		t.spanMask = int64(2*t.shelfCap - 1)
 		t.shelf = make([]*uop, t.shelfCap)
 		t.shelfRetired = make([]bool, 2*t.shelfCap)
 		t.shelfIndexBusy = make([]bool, 2*t.shelfCap)
 	}
 	t.lq = make([]*uop, 0, t.lqCap)
 	t.sq = make([]*uop, 0, t.sqCap)
-	t.fetchQ = make([]*uop, t.fetchQCap)
+	fetchQStore := ringSize(t.fetchQCap)
+	t.fetchQMask = fetchQStore - 1
+	t.fetchQ = make([]*uop, fetchQStore)
 	t.inflightBuf = make([]*uop, t.robCap+2*t.shelfCap+8)
 	t.inflight = t.inflightBuf[:0]
 	t.replayBuf = make([]replayEntry, 256)
@@ -277,6 +294,20 @@ func newThread(c *Core, id int, stream isa.Stream) *thread {
 	return t
 }
 
+// ringSize returns the power-of-two storage for a ring of logical capacity
+// n >= 1, so ring positions index with a mask instead of a divide.
+func ringSize(n int) int { return 1 << bits.Len(uint(n-1)) }
+
+// robSlot maps a ROB position to its ring slot.
+func (t *thread) robSlot(pos int64) int64 { return pos & t.robMask }
+
+// shelfSlot maps a shelf index to its FIFO entry.
+func (t *thread) shelfSlot(idx int64) int64 { return idx & t.shelfMask }
+
+// spanSlot maps a shelf index to its slot in the doubled index space
+// (the shelfRetired and shelfIndexBusy bitvectors).
+func (t *thread) spanSlot(idx int64) int64 { return idx & t.spanMask }
+
 // icount is the ICOUNT fetch-policy occupancy metric: instructions in the
 // front end plus the window.
 func (t *thread) icount() int { return t.fetchQLen() + len(t.inflight) }
@@ -289,20 +320,20 @@ func (t *thread) fetchQFront() *uop { return t.fetchQ[t.fetchQHead] }
 
 // fetchQAt returns the i-th queued micro-op (0 = front).
 func (t *thread) fetchQAt(i int) *uop {
-	return t.fetchQ[(t.fetchQHead+i)%t.fetchQCap]
+	return t.fetchQ[(t.fetchQHead+i)&t.fetchQMask]
 }
 
 // popFetchQ removes the queue front.
 func (t *thread) popFetchQ() {
 	t.fetchQ[t.fetchQHead] = nil
-	t.fetchQHead = (t.fetchQHead + 1) % t.fetchQCap
+	t.fetchQHead = (t.fetchQHead + 1) & t.fetchQMask
 	t.fetchQN--
 }
 
 // pushFetchQ appends u at the ring tail; the fetch loop bounds occupancy
 // to fetchQCap, so the slot is always free.
 func (t *thread) pushFetchQ(u *uop) {
-	t.fetchQ[(t.fetchQHead+t.fetchQN)%t.fetchQCap] = u
+	t.fetchQ[(t.fetchQHead+t.fetchQN)&t.fetchQMask] = u
 	t.fetchQN++
 }
 
@@ -310,7 +341,7 @@ func (t *thread) pushFetchQ(u *uop) {
 // dropped suffix is youngest-last and the caller has already recycled it).
 func (t *thread) truncFetchQ(keep int) {
 	for i := keep; i < t.fetchQN; i++ {
-		t.fetchQ[(t.fetchQHead+i)%t.fetchQCap] = nil
+		t.fetchQ[(t.fetchQHead+i)&t.fetchQMask] = nil
 	}
 	t.fetchQN = keep
 }
@@ -360,15 +391,14 @@ func (t *thread) shelfIndexFree() bool {
 	if t.shelfCap == 0 {
 		return false
 	}
-	span := int64(2 * t.shelfCap)
 	reserve := t.shelfRetire
 	if head := t.robOldest(); head != nil && head.shelfSquashIdx < reserve {
 		reserve = head.shelfSquashIdx
 	}
-	if t.shelfTail-reserve >= span {
+	if t.shelfTail-reserve >= int64(2*t.shelfCap) {
 		return false
 	}
-	return !t.shelfIndexBusy[t.shelfTail%span]
+	return !t.shelfIndexBusy[t.spanSlot(t.shelfTail)]
 }
 
 // robOldest returns the oldest unretired IQ instruction, or nil.
@@ -376,7 +406,7 @@ func (t *thread) robOldest() *uop {
 	if t.robHead == t.robAllocPos {
 		return nil
 	}
-	return t.rob[t.robHead%int64(t.robCap)]
+	return t.rob[t.robSlot(t.robHead)]
 }
 
 // shelfOldest returns the shelf head (oldest unissued shelf instruction),
@@ -385,13 +415,13 @@ func (t *thread) shelfOldest() *uop {
 	if t.shelfCap == 0 || t.shelfHead == t.shelfTail {
 		return nil
 	}
-	return t.shelf[t.shelfHead%int64(t.shelfCap)]
+	return t.shelf[t.shelfSlot(t.shelfHead)]
 }
 
 // advanceITHead moves the issue-tracking head past issued/squashed
 // positions.
 func (t *thread) advanceITHead() {
-	for t.itHead < t.robAllocPos && t.itIssued[t.itHead%int64(t.robCap)] {
+	for t.itHead < t.robAllocPos && t.itIssued[t.robSlot(t.itHead)] {
 		t.itHead++
 	}
 }
@@ -402,9 +432,8 @@ func (t *thread) advanceShelfRetire() {
 	if t.shelfCap == 0 {
 		return
 	}
-	span := int64(2 * t.shelfCap)
-	for t.shelfRetire < t.shelfTail && t.shelfRetired[t.shelfRetire%span] {
-		t.shelfRetired[t.shelfRetire%span] = false
+	for t.shelfRetire < t.shelfTail && t.shelfRetired[t.spanSlot(t.shelfRetire)] {
+		t.shelfRetired[t.spanSlot(t.shelfRetire)] = false
 		t.shelfRetire++
 	}
 }

@@ -161,6 +161,9 @@ type uop struct {
 	// (fetch cycle + front-end depth); it rides on the uop so the fetch
 	// queue needs no parallel ready-cycle slice.
 	frontReadyCycle int64
+	// evNext links the op into the completion calendar's chain for its
+	// completeCycle (events.go) between issue and writeback.
+	evNext *uop
 }
 
 // resetUop returns a uop to its just-allocated state, preserving the

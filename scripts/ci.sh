@@ -93,6 +93,12 @@ go test -race -count=1 ./internal/serve/ ./client/
 # runner line.
 go test -race -count=1 -run 'TestParallelMatchesLockstep|TestDeterministicAcrossGOMAXPROCS' ./internal/chip/
 go test -race -count=1 -run 'TestChipDifferential|TestChipDeterministicAcrossWorkers|TestDifferential|TestSchedulerDifferential' ./internal/runner/
+# The cycle loop's exact shortcuts join them: the completion calendar
+# against the binary heap it replaced, a slow-memory run through the
+# calendar's overflow chain, non-power-of-two ROB partitions under both
+# schedulers, and the O(1) in-sequence exit against the full walk — each
+# pinned to fingerprints taken before the shortcuts.
+go test -race -count=1 -run 'TestCalendarMatchesHeap|TestSlowMemoryFingerprint|TestNonPowerOfTwoPartitions|TestClassifyEarlyExitMatchesWalk' ./internal/core/
 
 # shelfd end-to-end smoke: build the server with -race, boot it on an
 # ephemeral port with a temporary persistent store, drive a concurrent
