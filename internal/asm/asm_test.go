@@ -24,7 +24,7 @@ func mustAssemble(t *testing.T, src string) *Program {
 func run(t *testing.T, src string) *machine {
 	t.Helper()
 	p := mustAssemble(t, src)
-	m := &machine{mem: make(map[uint32]byte)}
+	m := newMachine()
 	pc := 0
 	for pc < len(p.insts) {
 		pc = replayStep(p, m, pc)

@@ -2,20 +2,12 @@ package asm
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
 
 	"shelfsim/internal/isa"
 )
-
-// fromBits and toBits move float32 values to and from their raw IEEE-754
-// encodings (flw/fsw transfer bits, not values).
-func fromBits(v uint32) float32 { return math.Float32frombits(v) }
-func toBits(f float32) uint32   { return math.Float32bits(f) }
 
 const (
 	// DefaultScheduleBound is the execution-schedule bound used when a
@@ -64,10 +56,9 @@ type Program struct {
 	name  string
 	bound int64
 	insts []Instruction
-	// specs holds each static instruction's resolved mnemonic spec, so
-	// the emulator looks the table up once per instruction, not once per
-	// dynamic step.
-	specs []spec
+	// code is the static program pre-decoded for the emulator, one
+	// entry per instruction plus the closing back edge.
+	code []decoded
 
 	pcBase   uint64
 	fp       string
@@ -103,12 +94,10 @@ func Assemble(src string, opt Options) (*Program, error) {
 		return nil, errf(pos, ".loop bound %d exceeds the limit %d", bound, maxSched)
 	}
 
-	p := &Program{name: f.Name, bound: bound, insts: f.Insts, specs: make([]spec, len(f.Insts))}
-	for i := range f.Insts {
-		p.specs[i] = specs[f.Insts[i].Mnemonic]
-	}
+	p := &Program{name: f.Name, bound: bound, insts: f.Insts}
 	p.pcBase = pcRegion | (staticHash(f.Name, bound, f.Insts)&0xffff)<<6
-	h := newScheduleHasher(p)
+	p.code = decode(p.insts, p.pcBase)
+	h := newScheduleHasher(p.code)
 	n, err := p.unroll(h.add)
 	if err != nil {
 		return nil, err
@@ -120,73 +109,27 @@ func Assemble(src string, opt Options) (*Program, error) {
 
 // staticHash fingerprints the resolved static program (name, bound and
 // every instruction), fixing the PC layout: identical programs — however
-// they were spelled — land on identical PCs.
+// they were spelled — land on identical PCs. It is FNV-1a over the text
+// "%s/%d" of the name and bound, then "|%s %d %d %d %d %d" of each
+// instruction's mnemonic, registers, immediate and target.
 func staticHash(name string, bound int64, insts []Instruction) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", name, bound)
+	b := make([]byte, 0, 64)
+	b = append(b, name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, bound, 10)
+	h := fnvBytes(fnvOffset64, b)
 	for i := range insts {
 		in := &insts[i]
-		fmt.Fprintf(h, "|%s %d %d %d %d %d",
-			in.Mnemonic, in.Rd, in.Rs1, in.Rs2, in.Imm, in.Target)
+		b = append(b[:0], '|')
+		b = append(b, in.Mnemonic...)
+		for _, v := range [...]int64{int64(in.Rd), int64(in.Rs1), int64(in.Rs2), int64(in.Imm), int64(in.Target)} {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, v, 10)
+		}
+		h = fnvBytes(h, b)
 	}
-	return h.Sum64()
+	return h
 }
-
-// scheduleHasher fingerprints the unrolled execution schedule —
-// everything the stream will emit, and therefore everything that can
-// influence the simulation — one micro-op at a time. Each micro-op is
-// rendered as the text "%x %d %d %d,%d,%d %x %d %t %x|" of its PC, Op,
-// Dest, Srcs, Addr, Size, Taken and Target, built with strconv into one
-// reused buffer, and fed to FNV-1a. PC, Op, Dest and Srcs are fixed by
-// the static instruction, so their rendering is cached per static PC.
-type scheduleHasher struct {
-	h      hash.Hash64
-	pcBase uint64
-	prefix [][]byte // indexed by static instruction, the back edge last
-	buf    []byte
-}
-
-func newScheduleHasher(p *Program) *scheduleHasher {
-	return &scheduleHasher{
-		h:      fnv.New64a(),
-		pcBase: p.pcBase,
-		prefix: make([][]byte, len(p.insts)+1),
-		buf:    make([]byte, 0, 128),
-	}
-}
-
-func (s *scheduleHasher) add(u isa.Inst) {
-	i := (u.PC - s.pcBase) / 4
-	b := s.prefix[i]
-	if b == nil {
-		b = strconv.AppendUint(s.buf[:0], u.PC, 16)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(u.Op), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(u.Dest), 10)
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(u.Srcs[0]), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(u.Srcs[1]), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(u.Srcs[2]), 10)
-		b = append(b, ' ')
-		s.prefix[i] = append([]byte(nil), b...)
-	}
-	b = append(s.buf[:0], b...)
-	b = strconv.AppendUint(b, u.Addr, 16)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(u.Size), 10)
-	b = append(b, ' ')
-	b = strconv.AppendBool(b, u.Taken)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, u.Target, 16)
-	b = append(b, '|')
-	s.h.Write(b)
-	s.buf = b
-}
-
-func (s *scheduleHasher) sum() string { return fmt.Sprintf("%016x", s.h.Sum64()) }
 
 // Name returns the program's .name (or "asm").
 func (p *Program) Name() string { return p.name }
@@ -216,7 +159,7 @@ func (p *Program) Fingerprint() string { return p.fp }
 func (p *Program) schedule() []isa.Inst {
 	p.schedOnce.Do(func() {
 		sched := make([]isa.Inst, 0, p.schedLen)
-		n, err := p.unroll(func(u isa.Inst) { sched = append(sched, u) })
+		n, err := p.unroll(func(_ int, u *isa.Inst) { sched = append(sched, *u) })
 		if err != nil || n != p.schedLen {
 			panic(fmt.Sprintf("asm: re-unrolling %s gave %d instructions (err %v), assembly counted %d",
 				p.name, n, err, p.schedLen))
@@ -224,321 +167,6 @@ func (p *Program) schedule() []isa.Inst {
 		p.sched = sched
 	})
 	return p.sched
-}
-
-// pcOf returns the static PC of instruction index i (i == len(insts) is
-// the wrap point, where the closing back edge lives).
-func (p *Program) pcOf(i int) uint64 { return p.pcBase + uint64(i)*4 }
-
-// machine is the assembler's architectural emulator.
-type machine struct {
-	x   [32]uint32
-	f   [32]float32
-	mem map[uint32]byte
-}
-
-// memDefault is the deterministic content of uninitialized memory: a
-// hash of the byte address, so array-reading programs (dot product, CRC)
-// see reproducible pseudo-random data without an initialization dance.
-func memDefault(a uint32) byte {
-	h := a * 0x9e3779b1
-	h ^= h >> 16
-	h *= 0x85ebca77
-	h ^= h >> 13
-	return byte(h)
-}
-
-func (m *machine) loadByte(a uint32) byte {
-	if b, ok := m.mem[a]; ok {
-		return b
-	}
-	return memDefault(a)
-}
-
-// load reads size little-endian bytes at a.
-func (m *machine) load(a uint32, size uint8) uint32 {
-	var v uint32
-	for i := uint8(0); i < size; i++ {
-		v |= uint32(m.loadByte(a+uint32(i))) << (8 * i)
-	}
-	return v
-}
-
-// store writes size little-endian bytes at a.
-func (m *machine) store(a uint32, size uint8, v uint32) {
-	for i := uint8(0); i < size; i++ {
-		m.mem[a+uint32(i)] = byte(v >> (8 * i))
-	}
-}
-
-// setX writes an integer register; x0 stays zero.
-func (m *machine) setX(r int, v uint32) {
-	if r != 0 {
-		m.x[r] = v
-	}
-}
-
-// signExtend widens the low size bytes of v.
-func signExtend(v uint32, size uint8) uint32 {
-	shift := 32 - 8*uint32(size)
-	return uint32(int32(v<<shift) >> shift)
-}
-
-// unroll emulates one pass of the program, handing each dynamic micro-op
-// to emit in order, closes the pass with the back-edge branch, and
-// returns the schedule length.
-func (p *Program) unroll(emit func(isa.Inst)) (int, *Error) {
-	m := &machine{mem: make(map[uint32]byte)}
-	var n int64
-	for pc := 0; pc < len(p.insts); n++ {
-		if n >= p.bound {
-			in := &p.insts[pc]
-			return 0, errf(in.Pos,
-				"execution schedule exceeded the .loop bound %d before falling through the end (one pass of the program is unrolled and replayed; close infinite loops by falling through instead)",
-				p.bound)
-		}
-		var u isa.Inst
-		pc = p.step(m, pc, &u)
-		emit(u)
-	}
-	emit(isa.Inst{
-		PC:     p.pcOf(len(p.insts)),
-		Op:     isa.OpBranch,
-		Dest:   isa.RegInvalid,
-		Srcs:   [isa.MaxSrcs]int16{isa.RegInvalid, isa.RegInvalid, isa.RegInvalid},
-		Taken:  true,
-		Target: p.pcOf(0),
-	})
-	return int(n) + 1, nil
-}
-
-// step emulates the instruction at static index pc, lowers it into the
-// dynamic micro-op *u and returns the next static index.
-func (p *Program) step(m *machine, pc int, u *isa.Inst) int {
-	in := &p.insts[pc]
-	sp := &p.specs[pc]
-	*u = isa.Inst{
-		PC:   p.pcOf(pc),
-		Op:   sp.class,
-		Dest: isa.RegInvalid,
-		Srcs: [isa.MaxSrcs]int16{isa.RegInvalid, isa.RegInvalid, isa.RegInvalid},
-	}
-	next := pc + 1
-
-	switch sp.shape {
-	case shapeNone:
-		// nop, fence: no operands, no state change.
-	case shapeRRR:
-		u.Dest = int16(in.Rd)
-		u.Srcs[0] = int16(in.Rs1)
-		u.Srcs[1] = int16(in.Rs2)
-		if sp.fp {
-			p.fpOp(m, in)
-		} else {
-			m.setX(in.Rd, aluOp(in.Mnemonic, m.x[in.Rs1], m.x[in.Rs2]))
-		}
-	case shapeRRI:
-		u.Dest = int16(in.Rd)
-		u.Srcs[0] = int16(in.Rs1)
-		imm := uint32(in.Imm)
-		var v uint32
-		switch in.Mnemonic {
-		case "addi":
-			v = m.x[in.Rs1] + imm
-		case "andi":
-			v = m.x[in.Rs1] & imm
-		case "ori":
-			v = m.x[in.Rs1] | imm
-		case "xori":
-			v = m.x[in.Rs1] ^ imm
-		case "slli":
-			v = m.x[in.Rs1] << (imm & 31)
-		case "srli":
-			v = m.x[in.Rs1] >> (imm & 31)
-		case "srai":
-			v = uint32(int32(m.x[in.Rs1]) >> (imm & 31))
-		case "slti":
-			if int32(m.x[in.Rs1]) < in.Imm {
-				v = 1
-			}
-		case "sltiu":
-			if m.x[in.Rs1] < imm {
-				v = 1
-			}
-		}
-		m.setX(in.Rd, v)
-	case shapeRI:
-		u.Dest = int16(in.Rd)
-		if in.Mnemonic == "lui" {
-			m.setX(in.Rd, uint32(in.Imm)<<12)
-		} else { // li
-			m.setX(in.Rd, uint32(in.Imm))
-		}
-	case shapeRR: // mv
-		u.Dest = int16(in.Rd)
-		u.Srcs[0] = int16(in.Rs1)
-		m.setX(in.Rd, m.x[in.Rs1])
-	case shapeLoad:
-		u.Dest = int16(in.Rd)
-		u.Srcs[0] = int16(in.Rs1)
-		addr := m.x[in.Rs1] + uint32(in.Imm)
-		u.Addr = uint64(addr)
-		u.Size = sp.size
-		v := m.load(addr, sp.size)
-		switch in.Mnemonic {
-		case "lw":
-			m.setX(in.Rd, v)
-		case "lh", "lb":
-			m.setX(in.Rd, signExtend(v, sp.size))
-		case "lhu", "lbu":
-			m.setX(in.Rd, v)
-		case "flw":
-			m.f[in.Rd-numIntRegs] = fromBits(v)
-		}
-	case shapeStore:
-		u.Srcs[0] = int16(in.Rs1)
-		u.Srcs[1] = int16(in.Rs2)
-		addr := m.x[in.Rs1] + uint32(in.Imm)
-		u.Addr = uint64(addr)
-		u.Size = sp.size
-		if sp.fp {
-			m.store(addr, sp.size, toBits(m.f[in.Rs2-numIntRegs]))
-		} else {
-			m.store(addr, sp.size, m.x[in.Rs2])
-		}
-	case shapeBranch:
-		u.Srcs[0] = int16(in.Rs1)
-		u.Srcs[1] = int16(in.Rs2)
-		u.Target = p.pcOf(in.Target)
-		if branchTaken(in.Mnemonic, m.x[in.Rs1], m.x[in.Rs2]) {
-			u.Taken = true
-			next = in.Target
-		}
-	case shapeJump:
-		u.Taken = true
-		u.Target = p.pcOf(in.Target)
-		next = in.Target
-	}
-
-	return next
-}
-
-// aluOp evaluates an integer register-register operation.
-func aluOp(mnemonic string, a, b uint32) uint32 {
-	switch mnemonic {
-	case "add":
-		return a + b
-	case "sub":
-		return a - b
-	case "and":
-		return a & b
-	case "or":
-		return a | b
-	case "xor":
-		return a ^ b
-	case "sll":
-		return a << (b & 31)
-	case "srl":
-		return a >> (b & 31)
-	case "sra":
-		return uint32(int32(a) >> (b & 31))
-	case "slt":
-		if int32(a) < int32(b) {
-			return 1
-		}
-		return 0
-	case "sltu":
-		if a < b {
-			return 1
-		}
-		return 0
-	case "mul":
-		return a * b
-	case "mulh":
-		return uint32((int64(int32(a)) * int64(int32(b))) >> 32)
-	case "mulhu":
-		return uint32((uint64(a) * uint64(b)) >> 32)
-	case "mulhsu":
-		return uint32((int64(int32(a)) * int64(b)) >> 32)
-	case "div":
-		return divRV(a, b, false)
-	case "divu":
-		if b == 0 {
-			return ^uint32(0)
-		}
-		return a / b
-	case "rem":
-		return divRV(a, b, true)
-	case "remu":
-		if b == 0 {
-			return a
-		}
-		return a % b
-	default:
-		return 0
-	}
-}
-
-// divRV implements RISC-V signed division semantics: division by zero
-// yields -1 (quotient) or the dividend (remainder); the INT_MIN / -1
-// overflow yields INT_MIN (quotient) or 0 (remainder).
-func divRV(a, b uint32, rem bool) uint32 {
-	sa, sb := int32(a), int32(b)
-	switch {
-	case sb == 0:
-		if rem {
-			return a
-		}
-		return ^uint32(0)
-	case sa == -1<<31 && sb == -1:
-		if rem {
-			return 0
-		}
-		return a
-	case rem:
-		return uint32(sa % sb)
-	default:
-		return uint32(sa / sb)
-	}
-}
-
-// fpOp evaluates a single-precision FP operation in IEEE-754 float32
-// arithmetic (bit-reproducible across platforms).
-func (p *Program) fpOp(m *machine, in *Instruction) {
-	a := m.f[in.Rs1-numIntRegs]
-	b := m.f[in.Rs2-numIntRegs]
-	var v float32
-	switch in.Mnemonic {
-	case "fadd.s":
-		v = a + b
-	case "fsub.s":
-		v = a - b
-	case "fmul.s":
-		v = a * b
-	case "fdiv.s":
-		v = a / b
-	}
-	m.f[in.Rd-numIntRegs] = v
-}
-
-// branchTaken evaluates a conditional branch.
-func branchTaken(mnemonic string, a, b uint32) bool {
-	switch mnemonic {
-	case "beq":
-		return a == b
-	case "bne":
-		return a != b
-	case "blt":
-		return int32(a) < int32(b)
-	case "bge":
-		return int32(a) >= int32(b)
-	case "bltu":
-		return a < b
-	case "bgeu":
-		return a >= b
-	default:
-		return false
-	}
 }
 
 // String renders the canonical source form: .name and .loop first, then

@@ -30,11 +30,72 @@ const (
 	shapeJump
 )
 
-// spec describes one mnemonic: its operand shape, the micro-op class it
-// lowers to, whether its register operands live in the FP file, and the
-// access size for memory ops.
+// opcode names one mnemonic's operation for the emulator, which
+// switches on it rather than on the mnemonic's spelling.
+type opcode uint8
+
+const (
+	opNop opcode = iota
+	opFence
+	opAdd
+	opSub
+	opAnd
+	opOr
+	opXor
+	opSll
+	opSrl
+	opSra
+	opSlt
+	opSltu
+	opMul
+	opMulh
+	opMulhu
+	opMulhsu
+	opDiv
+	opDivu
+	opRem
+	opRemu
+	opAddi
+	opAndi
+	opOri
+	opXori
+	opSlli
+	opSrli
+	opSrai
+	opSlti
+	opSltiu
+	opLi
+	opLui
+	opMv
+	opLw
+	opLh
+	opLhu
+	opLb
+	opLbu
+	opSw
+	opSh
+	opSb
+	opFlw
+	opFsw
+	opFadd
+	opFsub
+	opFmul
+	opFdiv
+	opBeq
+	opBne
+	opBlt
+	opBge
+	opBltu
+	opBgeu
+	opJ
+)
+
+// spec describes one mnemonic: its operand shape, its opcode, the
+// micro-op class it lowers to, whether its register operands live in the
+// FP file, and the access size for memory ops.
 type spec struct {
 	shape shape
+	op    opcode
 	class isa.OpClass
 	fp    bool
 	size  uint8
@@ -43,67 +104,67 @@ type spec struct {
 // specs is the mnemonic table. The parser rejects anything not listed
 // here, so the lowering in assemble.go is total over parsed programs.
 var specs = map[string]spec{
-	"nop":   {shape: shapeNone, class: isa.OpNop},
-	"fence": {shape: shapeNone, class: isa.OpBarrier},
+	"nop":   {shape: shapeNone, op: opNop, class: isa.OpNop},
+	"fence": {shape: shapeNone, op: opFence, class: isa.OpBarrier},
 
-	"add":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"sub":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"and":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"or":   {shape: shapeRRR, class: isa.OpIntAlu},
-	"xor":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"sll":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"srl":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"sra":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"slt":  {shape: shapeRRR, class: isa.OpIntAlu},
-	"sltu": {shape: shapeRRR, class: isa.OpIntAlu},
+	"add":  {shape: shapeRRR, op: opAdd, class: isa.OpIntAlu},
+	"sub":  {shape: shapeRRR, op: opSub, class: isa.OpIntAlu},
+	"and":  {shape: shapeRRR, op: opAnd, class: isa.OpIntAlu},
+	"or":   {shape: shapeRRR, op: opOr, class: isa.OpIntAlu},
+	"xor":  {shape: shapeRRR, op: opXor, class: isa.OpIntAlu},
+	"sll":  {shape: shapeRRR, op: opSll, class: isa.OpIntAlu},
+	"srl":  {shape: shapeRRR, op: opSrl, class: isa.OpIntAlu},
+	"sra":  {shape: shapeRRR, op: opSra, class: isa.OpIntAlu},
+	"slt":  {shape: shapeRRR, op: opSlt, class: isa.OpIntAlu},
+	"sltu": {shape: shapeRRR, op: opSltu, class: isa.OpIntAlu},
 
-	"mul":    {shape: shapeRRR, class: isa.OpIntMult},
-	"mulh":   {shape: shapeRRR, class: isa.OpIntMult},
-	"mulhu":  {shape: shapeRRR, class: isa.OpIntMult},
-	"mulhsu": {shape: shapeRRR, class: isa.OpIntMult},
-	"div":    {shape: shapeRRR, class: isa.OpIntDiv},
-	"divu":   {shape: shapeRRR, class: isa.OpIntDiv},
-	"rem":    {shape: shapeRRR, class: isa.OpIntDiv},
-	"remu":   {shape: shapeRRR, class: isa.OpIntDiv},
+	"mul":    {shape: shapeRRR, op: opMul, class: isa.OpIntMult},
+	"mulh":   {shape: shapeRRR, op: opMulh, class: isa.OpIntMult},
+	"mulhu":  {shape: shapeRRR, op: opMulhu, class: isa.OpIntMult},
+	"mulhsu": {shape: shapeRRR, op: opMulhsu, class: isa.OpIntMult},
+	"div":    {shape: shapeRRR, op: opDiv, class: isa.OpIntDiv},
+	"divu":   {shape: shapeRRR, op: opDivu, class: isa.OpIntDiv},
+	"rem":    {shape: shapeRRR, op: opRem, class: isa.OpIntDiv},
+	"remu":   {shape: shapeRRR, op: opRemu, class: isa.OpIntDiv},
 
-	"addi":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"andi":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"ori":   {shape: shapeRRI, class: isa.OpIntAlu},
-	"xori":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"slli":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"srli":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"srai":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"slti":  {shape: shapeRRI, class: isa.OpIntAlu},
-	"sltiu": {shape: shapeRRI, class: isa.OpIntAlu},
+	"addi":  {shape: shapeRRI, op: opAddi, class: isa.OpIntAlu},
+	"andi":  {shape: shapeRRI, op: opAndi, class: isa.OpIntAlu},
+	"ori":   {shape: shapeRRI, op: opOri, class: isa.OpIntAlu},
+	"xori":  {shape: shapeRRI, op: opXori, class: isa.OpIntAlu},
+	"slli":  {shape: shapeRRI, op: opSlli, class: isa.OpIntAlu},
+	"srli":  {shape: shapeRRI, op: opSrli, class: isa.OpIntAlu},
+	"srai":  {shape: shapeRRI, op: opSrai, class: isa.OpIntAlu},
+	"slti":  {shape: shapeRRI, op: opSlti, class: isa.OpIntAlu},
+	"sltiu": {shape: shapeRRI, op: opSltiu, class: isa.OpIntAlu},
 
-	"li":  {shape: shapeRI, class: isa.OpIntAlu},
-	"lui": {shape: shapeRI, class: isa.OpIntAlu},
-	"mv":  {shape: shapeRR, class: isa.OpIntAlu},
+	"li":  {shape: shapeRI, op: opLi, class: isa.OpIntAlu},
+	"lui": {shape: shapeRI, op: opLui, class: isa.OpIntAlu},
+	"mv":  {shape: shapeRR, op: opMv, class: isa.OpIntAlu},
 
-	"lw":  {shape: shapeLoad, class: isa.OpLoad, size: 4},
-	"lh":  {shape: shapeLoad, class: isa.OpLoad, size: 2},
-	"lhu": {shape: shapeLoad, class: isa.OpLoad, size: 2},
-	"lb":  {shape: shapeLoad, class: isa.OpLoad, size: 1},
-	"lbu": {shape: shapeLoad, class: isa.OpLoad, size: 1},
-	"sw":  {shape: shapeStore, class: isa.OpStore, size: 4},
-	"sh":  {shape: shapeStore, class: isa.OpStore, size: 2},
-	"sb":  {shape: shapeStore, class: isa.OpStore, size: 1},
+	"lw":  {shape: shapeLoad, op: opLw, class: isa.OpLoad, size: 4},
+	"lh":  {shape: shapeLoad, op: opLh, class: isa.OpLoad, size: 2},
+	"lhu": {shape: shapeLoad, op: opLhu, class: isa.OpLoad, size: 2},
+	"lb":  {shape: shapeLoad, op: opLb, class: isa.OpLoad, size: 1},
+	"lbu": {shape: shapeLoad, op: opLbu, class: isa.OpLoad, size: 1},
+	"sw":  {shape: shapeStore, op: opSw, class: isa.OpStore, size: 4},
+	"sh":  {shape: shapeStore, op: opSh, class: isa.OpStore, size: 2},
+	"sb":  {shape: shapeStore, op: opSb, class: isa.OpStore, size: 1},
 
-	"flw": {shape: shapeLoad, class: isa.OpLoad, fp: true, size: 4},
-	"fsw": {shape: shapeStore, class: isa.OpStore, fp: true, size: 4},
+	"flw": {shape: shapeLoad, op: opFlw, class: isa.OpLoad, fp: true, size: 4},
+	"fsw": {shape: shapeStore, op: opFsw, class: isa.OpStore, fp: true, size: 4},
 
-	"fadd.s": {shape: shapeRRR, class: isa.OpFPAdd, fp: true},
-	"fsub.s": {shape: shapeRRR, class: isa.OpFPAdd, fp: true},
-	"fmul.s": {shape: shapeRRR, class: isa.OpFPMult, fp: true},
-	"fdiv.s": {shape: shapeRRR, class: isa.OpFPDiv, fp: true},
+	"fadd.s": {shape: shapeRRR, op: opFadd, class: isa.OpFPAdd, fp: true},
+	"fsub.s": {shape: shapeRRR, op: opFsub, class: isa.OpFPAdd, fp: true},
+	"fmul.s": {shape: shapeRRR, op: opFmul, class: isa.OpFPMult, fp: true},
+	"fdiv.s": {shape: shapeRRR, op: opFdiv, class: isa.OpFPDiv, fp: true},
 
-	"beq":  {shape: shapeBranch, class: isa.OpBranch},
-	"bne":  {shape: shapeBranch, class: isa.OpBranch},
-	"blt":  {shape: shapeBranch, class: isa.OpBranch},
-	"bge":  {shape: shapeBranch, class: isa.OpBranch},
-	"bltu": {shape: shapeBranch, class: isa.OpBranch},
-	"bgeu": {shape: shapeBranch, class: isa.OpBranch},
-	"j":    {shape: shapeJump, class: isa.OpBranch},
+	"beq":  {shape: shapeBranch, op: opBeq, class: isa.OpBranch},
+	"bne":  {shape: shapeBranch, op: opBne, class: isa.OpBranch},
+	"blt":  {shape: shapeBranch, op: opBlt, class: isa.OpBranch},
+	"bge":  {shape: shapeBranch, op: opBge, class: isa.OpBranch},
+	"bltu": {shape: shapeBranch, op: opBltu, class: isa.OpBranch},
+	"bgeu": {shape: shapeBranch, op: opBgeu, class: isa.OpBranch},
+	"j":    {shape: shapeJump, op: opJ, class: isa.OpBranch},
 }
 
 // Instruction is one static instruction of a parsed program. Register

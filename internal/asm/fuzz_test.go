@@ -13,9 +13,11 @@ import (
 //     and an identical execution-schedule fingerprint. The canonical
 //     rendering is the workload's cache identity, so a non-fixpoint
 //     rendering would split cache entries between spellings.
-//  3. The fingerprint Assemble streams out while emulating equals the
-//     reference fmt formula over the schedule NewStream replays, and
-//     that schedule is ScheduleLen long.
+//  3. The schedule NewStream replays is ScheduleLen long and equals,
+//     instruction for instruction, the one the reference emulator in
+//     reference_test.go produces, and the fingerprint Assemble streams
+//     out while emulating equals the reference fmt formula over the
+//     reference schedule.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		"",
@@ -32,6 +34,8 @@ func FuzzAssemble(f *testing.F) {
 		"add x1, x2\n",
 		"label: label2: nop\n",
 		"sb x1, 255(x2)\nlbu x3, 255(x2)\n",
+		memoryEdgePrograms["straddle-page"],
+		memoryEdgePrograms["wrap"],
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -55,9 +59,7 @@ func FuzzAssemble(f *testing.F) {
 		if len(sched) != p.ScheduleLen() {
 			t.Fatalf("schedule has %d instructions, ScheduleLen says %d", len(sched), p.ScheduleLen())
 		}
-		if want := referenceScheduleHash(sched); p.Fingerprint() != want {
-			t.Fatalf("fingerprint %s, reference formula gives %s\nsource: %q", p.Fingerprint(), want, src)
-		}
+		checkAgainstReference(t, p)
 		canon := p.String()
 		p2, err2 := Assemble(canon, opt)
 		if err2 != nil {

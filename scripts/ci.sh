@@ -56,15 +56,20 @@ go test -race -count=1 -run TestAsmGoldenFingerprints .
 # Assembler totality fuzz, short fixed budget: Assemble must never panic
 # on arbitrary input, and every accepted program's canonical rendering
 # must be a fixpoint with a stable schedule fingerprint (the cache
-# identity). The corpus accumulated under internal/asm/testdata keeps
-# past discoveries as regression seeds.
+# identity). Every accepted program's schedule must also equal the
+# reference emulator's in internal/asm/reference_test.go, with the
+# fingerprint equal to the fmt formula over it. The corpus accumulated
+# under internal/asm/testdata keeps past discoveries as regression seeds.
 go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 
-# Lazy-schedule race gate, explicitly under -race and repeated: Assemble
-# keeps no schedule, and the first NewStream builds it once behind a
-# sync.Once. Goroutines opening streams on one fresh Program at the same
-# time must race-free replay identical schedules.
-go test -race -count=10 -run TestConcurrentNewStream ./internal/asm/
+# Lazy-schedule and reference-emulator race gate, explicitly under -race
+# and repeated: Assemble keeps no schedule, and the first NewStream builds
+# it once behind a sync.Once. Goroutines opening streams on one fresh
+# Program at the same time must race-free replay identical schedules. The
+# pre-decoded emulator and memoized hasher must match the reference
+# emulator and fmt formula on the testdata programs, every opcode and the
+# memory edge cases.
+go test -race -count=10 -run 'TestConcurrentNewStream|TestFingerprintMatchesReference|TestEveryOpcodeMatchesReference|TestMemoryEdges' ./internal/asm/
 
 # Supervised-run fuzz, same fixed budget: over fuzzed kernel selections,
 # stream seeds and thread counts with the invariant checker on, no panic
