@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"time"
 
 	"shelfsim"
@@ -31,10 +33,11 @@ type flight struct {
 	rv   shelfsim.Resolved
 	done chan struct{}
 
-	// report and err are written by the executing shard owner before done
-	// is closed; waiters read them only after <-done.
-	report shelfsim.Report
-	err    error
+	// body (the report's compact wire JSON) and err are written by the
+	// executing shard owner before done is closed; waiters read them only
+	// after <-done.
+	body []byte
+	err  error
 }
 
 // submit validates and admits one request: it either attaches to an
@@ -121,18 +124,19 @@ func (s *Server) abandon(f *flight) {
 }
 
 // execute runs one flight to completion and releases its waiters: a
-// persistent-store hit is answered from disk without simulating;
-// otherwise the job runs under a background context — a deduplicated
-// flight may outlive any single submitter, so its lifetime is bounded by
-// the runner's wall-clock timeout and cycle budget, not by client
-// disconnects — and the fresh result is persisted for next time.
+// persistent-store hit is answered with the entry's digest-checked bytes
+// without simulating or decoding; otherwise the job runs under a
+// background context — a deduplicated flight may outlive any single
+// submitter, so its lifetime is bounded by the runner's wall-clock timeout
+// and cycle budget, not by client disconnects — and the fresh report is
+// encoded once, the same bytes going to the store and to every waiter.
 func (s *Server) execute(sh *shard, f *flight) {
 	if gate := s.execGate.Load(); gate != nil {
 		(*gate)(f.key)
 	}
 	if s.store != nil {
-		if rep, ok := s.store.Get(f.key); ok {
-			f.report = rep
+		if body, ok := s.store.GetBytes(f.key); ok {
+			f.body = body
 			s.counters.storeHits.Add(1)
 			s.counters.completed.Add(1)
 			s.unregister(sh, f)
@@ -149,14 +153,19 @@ func (s *Server) execute(sh *shard, f *flight) {
 		Measure:  f.rv.Insts,
 	})
 
+	var err error
 	if simErr != nil {
-		f.err = simErr
+		err = simErr
+	} else if f.body, err = json.Marshal(shelfsim.NewReport(f.rv, *res)); err != nil {
+		err = fmt.Errorf("serve: encoding report: %w", err)
+	}
+	if err != nil {
+		f.err = err
 		s.counters.failed.Add(1)
 	} else {
-		f.report = shelfsim.NewReport(f.rv, *res)
 		s.counters.completed.Add(1)
 		if s.store != nil {
-			if err := s.store.Put(f.key, f.report); err != nil {
+			if err := s.store.PutBytes(f.key, f.body); err != nil {
 				s.counters.storePutErrs.Add(1)
 			}
 		}

@@ -193,9 +193,9 @@ type ErrorBody struct {
 	// Line and Col locate assembler diagnostics (1-based) when Field names
 	// a program ("programs[i]"), so clients can point at the offending
 	// source position without parsing the message.
-	Line         int    `json:"line,omitempty"`
-	Col          int    `json:"col,omitempty"`
-	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
+	Line         int   `json:"line,omitempty"`
+	Col          int   `json:"col,omitempty"`
+	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
 // Health is the /healthz body.
@@ -513,7 +513,9 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, into any)
 
 // handleRun is POST /v1/run: decode, validate (400 with field on error),
 // submit through the dedup shards (429 + Retry-After under pressure or
-// drain), wait, and answer with the versioned Report.
+// drain), wait, and answer with the versioned Report as the flight's
+// compact JSON bytes — the same bytes whether they came from the store or
+// from a fresh run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorBody{Error: "POST a shelfsim.Request"})
@@ -544,7 +546,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case f.err != nil:
 		writeJSON(w, http.StatusInternalServerError, errorBody(f.err))
 	default:
-		writeJSON(w, http.StatusOK, f.report)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(f.body)))
+		_, _ = w.Write(f.body) // a failed write is a client that went away; nobody is left to tell
 	}
 }
 

@@ -4,9 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -259,8 +264,8 @@ func TestSweepClientDisconnect(t *testing.T) {
 
 // TestStoreRestartDifferential is the acceptance differential for the
 // persistent store: a request served from the warm store after a process
-// restart must produce a byte-identical report — same result fingerprint,
-// same wire bytes — as the fresh in-process run that first computed it,
+// restart must produce a byte-identical response body — same result
+// fingerprint, same wire bytes — as the fresh run that first computed it,
 // and the cumulative counters must survive the restart via the store's
 // meta document.
 func TestStoreRestartDifferential(t *testing.T) {
@@ -282,12 +287,15 @@ func TestStoreRestartDifferential(t *testing.T) {
 		t.Fatalf("fresh run: HTTP %d: %s", code, body)
 	}
 	fresh := decodeReport(t, body)
-	freshBytes, _ := json.Marshal(fresh)
+	freshBody := body
 
 	// Second submission in the same process: a store hit, not a re-run.
 	code, body = postRun(t, ts1.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("warm run: HTTP %d: %s", code, body)
+	}
+	if !bytes.Equal(body, freshBody) {
+		t.Errorf("store-hit body differs from the fresh run's:\nfresh: %s\nhit:   %s", freshBody, body)
 	}
 	if c := s1.Counters(); c.Executed != 1 || c.StoreHits != 1 {
 		t.Errorf("first-process counters: %+v, want 1 executed + 1 store hit", c)
@@ -314,13 +322,12 @@ func TestStoreRestartDifferential(t *testing.T) {
 		t.Fatalf("post-restart run: HTTP %d: %s", code, body)
 	}
 	warm := decodeReport(t, body)
-	warmBytes, _ := json.Marshal(warm)
 
 	if warm.ResultFingerprint != fresh.ResultFingerprint {
 		t.Errorf("post-restart fingerprint %s != fresh %s", warm.ResultFingerprint, fresh.ResultFingerprint)
 	}
-	if !bytes.Equal(warmBytes, freshBytes) {
-		t.Errorf("post-restart report bytes differ from fresh run:\nfresh: %s\nwarm:  %s", freshBytes, warmBytes)
+	if !bytes.Equal(body, freshBody) {
+		t.Errorf("post-restart body differs from the fresh run's:\nfresh: %s\nwarm:  %s", freshBody, body)
 	}
 	c := s2.Counters()
 	if c.Executed != 1 {
@@ -454,5 +461,132 @@ func TestStoreHitsOnlyCompletedRuns(t *testing.T) {
 	stats := st.Stats()
 	if stats.Puts != 2 || stats.Misses != 2 {
 		t.Errorf("store stats: %+v", stats)
+	}
+}
+
+// entryPath is where a store rooted at dir files key's entry.
+func entryPath(dir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+".json")
+}
+
+// TestAlteredStoreEntryResimulates: a stored entry whose bytes change on
+// disk after the server indexed it (here one digit of "cycles") is never
+// served. The next request re-simulates and answers with what an
+// in-process run of the request computes, and the rewritten entry is
+// served again afterwards.
+func TestAlteredStoreEntryResimulates(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Shards: 1, Store: st})
+	req := smallReq(3)
+	local, err := shelfsim.RunReport(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, fresh := postRun(t, ts.URL, req)
+	if code != http.StatusOK {
+		t.Fatalf("fresh run: HTTP %d: %s", code, fresh)
+	}
+
+	path := entryPath(dir, local.CacheKey)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"cycles":`))
+	if i < 0 {
+		t.Fatalf("entry %s has no cycles field", path)
+	}
+	i += len(`"cycles":`)
+	if data[i] == '9' {
+		data[i] = '1'
+	} else {
+		data[i]++
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, stage := range []string{"after the alteration", "from the rewritten entry"} {
+		code, body := postRun(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", stage, code, body)
+		}
+		got := decodeReport(t, body)
+		if got.ResultFingerprint != local.ResultFingerprint || got.Cycles != local.Cycles {
+			t.Errorf("%s: served %s/%d cycles, in-process run %s/%d",
+				stage, got.ResultFingerprint, got.Cycles, local.ResultFingerprint, local.Cycles)
+		}
+		if !bytes.Equal(body, fresh) {
+			t.Errorf("%s: body differs from the fresh run's", stage)
+		}
+	}
+	if s := st.Stats(); s.Puts != 2 || s.Hits != 1 || s.Misses != 2 {
+		t.Errorf("store stats %+v, want the altered entry missed, re-put and then hit", s)
+	}
+}
+
+// TestSweepFromWarmStore: a sweep answered from the store streams the same
+// result events as the cold sweep that simulated and stored them, each
+// carrying the report an in-process run of its request computes.
+func TestSweepFromWarmStore(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Options{Shards: 2, Store: st})
+	reqs := []shelfsim.Request{smallReq(0), smallReq(1), smallReq(2)}
+	body, err := json.Marshal(SweepRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() map[int]StreamEvent {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		results := map[int]StreamEvent{}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+		for sc.Scan() {
+			var ev StreamEvent
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("malformed NDJSON line %q: %v", sc.Bytes(), err)
+			}
+			if ev.Type == "error" {
+				t.Fatalf("sweep item failed: %+v", ev)
+			}
+			if ev.Type == "result" {
+				results[ev.Index] = ev
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	cold := sweep()
+	warm := sweep()
+	if c := s.Counters(); c.Executed != int64(len(reqs)) || c.StoreHits != int64(len(reqs)) {
+		t.Fatalf("counters %+v, want the cold sweep executed and the warm one served from the store", c)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Errorf("warm sweep results differ from the cold sweep's:\ncold: %+v\nwarm: %+v", cold, warm)
+	}
+	for i, req := range reqs {
+		local, err := shelfsim.RunReport(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := warm[i].Report; rep == nil || rep.ResultFingerprint != local.ResultFingerprint || rep.Cycles != local.Cycles {
+			t.Errorf("warm sweep item %d carried %+v, want the in-process report %s/%d cycles",
+				i, rep, local.ResultFingerprint, local.Cycles)
+		}
 	}
 }

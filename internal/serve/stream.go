@@ -182,9 +182,14 @@ func (s *Server) runSweepItem(ctx context.Context, idx int, req shelfsim.Request
 	case <-ctx.Done():
 		return StreamEvent{Type: "error", Index: idx, Error: ctx.Err().Error()}
 	}
-	if f.err != nil {
-		body := errorBody(f.err)
+	err = f.err
+	var rep shelfsim.Report
+	if err == nil {
+		rep, err = shelfsim.DecodeReport(f.body)
+	}
+	if err != nil {
+		body := errorBody(err)
 		return StreamEvent{Type: "error", Index: idx, Error: body.Error, Field: body.Field, Line: body.Line, Col: body.Col}
 	}
-	return StreamEvent{Type: "result", Index: idx, Report: &f.report}
+	return StreamEvent{Type: "result", Index: idx, Report: &rep}
 }

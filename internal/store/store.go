@@ -12,6 +12,11 @@
 // indexes every entry up front (warm restart) and rejects — skips without
 // serving — entries whose schema version this build does not speak, whose
 // JSON is corrupt, or whose content does not match their filename.
+//
+// The index records a SHA-256 digest of every entry's bytes, taken when
+// Open validated them or Put wrote them. A read serves the file only if
+// its bytes still hash to that digest, so a hit is a byte copy that needs
+// no decode to be trusted.
 package store
 
 import (
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,7 +53,8 @@ type Stats struct {
 	// SkippedOnOpen counts files Open refused to index: foreign schema
 	// versions, corrupt JSON, content/filename mismatches.
 	SkippedOnOpen int `json:"skipped_on_open"`
-	// Hits and Misses count Get outcomes; Puts counts stored results.
+	// Hits and Misses count Get and GetBytes outcomes; Puts counts stored
+	// results.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	Puts   int64 `json:"puts"`
@@ -59,12 +66,19 @@ type Store struct {
 	dir string
 
 	mu    sync.RWMutex
-	index map[string]string // cache key -> entry path
+	index map[string]entry // cache key -> indexed entry
 
 	warmEntries   int
 	skippedOnOpen int
 
 	hits, misses, puts atomic.Int64
+}
+
+// entry is one indexed result: its file and the digest of the bytes the
+// store validated or wrote there.
+type entry struct {
+	path   string
+	digest [sha256.Size]byte
 }
 
 // keyPath is the content address: SHA-256 of the cache key, hex, one flat
@@ -77,18 +91,20 @@ func (s *Store) keyPath(key string) string {
 // Open creates (if needed) and indexes the store rooted at dir. Orphaned
 // temporaries from a crashed writer are deleted; entries that fail
 // validation are skipped and counted, never served, and left on disk for
-// forensics. The indexed entries are immediately servable — this is the
-// warm-restart path.
+// forensics. Entries are validated on GOMAXPROCS goroutines; the index and
+// the counts do not depend on how many. The indexed entries are
+// immediately servable — this is the warm-restart path.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, index: make(map[string]string)}
-	names, err := os.ReadDir(dir)
+	s := &Store{dir: dir, index: make(map[string]entry)}
+	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", dir, err)
 	}
-	for _, de := range names {
+	var names []string
+	for _, de := range des {
 		name := de.Name()
 		switch {
 		case de.IsDir():
@@ -101,61 +117,113 @@ func Open(dir string) (*Store, error) {
 		case name == metaName || !strings.HasSuffix(name, entryExt):
 			continue
 		}
-		path := filepath.Join(dir, name)
-		key, ok := s.validateEntry(path, name)
-		if !ok {
+		names = append(names, name)
+	}
+	keys := make([]string, len(names))
+	entries := make([]entry, len(names))
+	workers := min(runtime.GOMAXPROCS(0), len(names))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(names); i += workers {
+				keys[i], entries[i] = s.validateEntry(names[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, key := range keys {
+		if key == "" {
 			s.skippedOnOpen++
 			continue
 		}
-		s.index[key] = path
+		s.index[key] = entries[i]
 	}
 	s.warmEntries = len(s.index)
 	return s, nil
 }
 
 // validateEntry decides whether one on-disk file is a servable entry,
-// returning its cache key. A file is rejected when its JSON is corrupt,
-// its schema version is not this build's (DecodeReport enforces that —
-// the QED-style gate: never trust a layer you did not just write), it
-// carries no cache key, or its key does not hash to its own filename.
-func (s *Store) validateEntry(path, name string) (string, bool) {
+// returning its cache key ("" when it is not) and its indexed form. A file
+// is rejected when its JSON is corrupt, its schema version is not this
+// build's (DecodeReport enforces that — the QED-style gate: never trust a
+// layer you did not just write), it carries no cache key, or its key does
+// not hash to its own filename.
+func (s *Store) validateEntry(name string) (string, entry) {
+	path := filepath.Join(s.dir, name)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", false
+		return "", entry{}
 	}
 	rep, err := shelfsim.DecodeReport(data)
 	if err != nil || rep.CacheKey == "" {
-		return "", false
+		return "", entry{}
 	}
 	if filepath.Base(s.keyPath(rep.CacheKey)) != name {
-		return "", false
+		return "", entry{}
 	}
-	return rep.CacheKey, true
+	return rep.CacheKey, entry{path: path, digest: sha256.Sum256(data)}
 }
 
-// Get returns the stored Report for key, if present. A stored entry that
-// can no longer be decoded (external corruption) is dropped from the
-// index and reported as a miss, so the caller falls back to simulating.
+// Get returns the stored Report for key, if present: GetBytes, then
+// DecodeReport.
 func (s *Store) Get(key string) (shelfsim.Report, bool) {
-	s.mu.RLock()
-	path, ok := s.index[key]
-	s.mu.RUnlock()
-	if !ok {
-		s.misses.Add(1)
-		return shelfsim.Report{}, false
-	}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		if rep, derr := shelfsim.DecodeReport(data); derr == nil && rep.CacheKey == key {
-			s.hits.Add(1)
-			return rep, true
+	data, ok := s.read(key)
+	var rep shelfsim.Report
+	if ok {
+		var err error
+		rep, err = shelfsim.DecodeReport(data)
+		if ok = err == nil && rep.CacheKey == key; !ok {
+			s.drop(key)
 		}
 	}
+	s.count(ok)
+	return rep, ok
+}
+
+// GetBytes returns the stored entry for key, if present, as the bytes of
+// its wire JSON. The bytes hash to the digest the store recorded when it
+// validated or wrote the entry; an entry that no longer does (external
+// corruption) or that cannot be read is dropped from the index and
+// reported as a miss, so the caller falls back to simulating.
+func (s *Store) GetBytes(key string) ([]byte, bool) {
+	data, ok := s.read(key)
+	s.count(ok)
+	return data, ok
+}
+
+// read looks key up and returns its file's bytes if they still match the
+// indexed digest, dropping the entry when they do not.
+func (s *Store) read(key string) ([]byte, bool) {
+	s.mu.RLock()
+	e, ok := s.index[key]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	data, err := os.ReadFile(e.path)
+	if err != nil || sha256.Sum256(data) != e.digest {
+		s.drop(key)
+		return nil, false
+	}
+	return data, true
+}
+
+// drop removes key from the index.
+func (s *Store) drop(key string) {
 	s.mu.Lock()
 	delete(s.index, key)
 	s.mu.Unlock()
-	s.misses.Add(1)
-	return shelfsim.Report{}, false
+}
+
+// count records one lookup's outcome.
+func (s *Store) count(hit bool) {
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
 }
 
 // Contains reports whether key is indexed, without touching hit/miss
@@ -171,9 +239,6 @@ func (s *Store) Contains(key string) bool {
 // Re-putting an existing key overwrites it (same key, same deterministic
 // content — the write is idempotent).
 func (s *Store) Put(key string, rep shelfsim.Report) error {
-	if key == "" {
-		return fmt.Errorf("store: empty cache key")
-	}
 	if rep.CacheKey != key {
 		return fmt.Errorf("store: report cache key %q does not match store key %q", rep.CacheKey, key)
 	}
@@ -181,12 +246,22 @@ func (s *Store) Put(key string, rep shelfsim.Report) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding report: %w", err)
 	}
-	path := s.keyPath(key)
-	if err := s.writeAtomic(path, data); err != nil {
+	return s.PutBytes(key, data)
+}
+
+// PutBytes is Put for a report the caller has already encoded: data must
+// be the json.Marshal encoding of a Report whose CacheKey is key. The
+// store keeps those bytes as they are and serves them back from GetBytes.
+func (s *Store) PutBytes(key string, data []byte) error {
+	if key == "" {
+		return fmt.Errorf("store: empty cache key")
+	}
+	e := entry{path: s.keyPath(key), digest: sha256.Sum256(data)}
+	if err := s.writeAtomic(e.path, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.index[key] = path
+	s.index[key] = e
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil

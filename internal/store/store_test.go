@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +17,7 @@ import (
 
 // report runs a tiny real simulation so entries carry genuine cache keys
 // and fingerprints; vary n for distinct keys.
-func report(t *testing.T, n int64) shelfsim.Report {
+func report(t testing.TB, n int64) shelfsim.Report {
 	t.Helper()
 	rep, err := shelfsim.RunReport(context.Background(), shelfsim.Request{
 		Preset: "base64", Kernels: []string{"stream"}, Insts: 200 + n,
@@ -25,7 +28,7 @@ func report(t *testing.T, n int64) shelfsim.Report {
 	return rep
 }
 
-func open(t *testing.T, dir string) *Store {
+func open(t testing.TB, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir)
 	if err != nil {
@@ -35,7 +38,8 @@ func open(t *testing.T, dir string) *Store {
 }
 
 // TestPutGetRoundTrip: a stored report comes back bit-equal — same result
-// fingerprint, same cycles — and the hit/miss accounting tracks it.
+// fingerprint, same cycles, and from GetBytes the very bytes of its wire
+// encoding — and the hit/miss accounting tracks both lookups.
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir())
 	rep := report(t, 0)
@@ -50,12 +54,78 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the report: got %s/%d, want %s/%d",
 			got.ResultFingerprint, got.Cycles, rep.ResultFingerprint, rep.Cycles)
 	}
+	want, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, ok := s.GetBytes(rep.CacheKey); !ok || !bytes.Equal(body, want) {
+		t.Errorf("GetBytes = %v, %s; want the report's wire encoding", ok, body)
+	}
 	if _, ok := s.Get("no-such-key"); ok {
 		t.Error("Get hit an absent key")
 	}
+	if _, ok := s.GetBytes("no-such-key"); ok {
+		t.Error("GetBytes hit an absent key")
+	}
 	st := s.Stats()
-	if st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 2 || st.Puts != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// flipCyclesDigit rewrites one digit of the entry's "cycles" value in
+// place. The entry stays valid JSON with the same cache key and schema
+// version, so only its bytes can tell that it changed.
+func flipCyclesDigit(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"cycles":`))
+	if i < 0 {
+		t.Fatalf("entry %s has no cycles field", path)
+	}
+	d := i + len(`"cycles":`)
+	if data[d] == '9' {
+		data[d] = '1'
+	} else {
+		data[d]++
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlippedDigitIsAMiss: an entry altered after the store indexed it —
+// written by this process's Put, or validated by Open — is a miss that
+// drops the entry, never a hit carrying the altered number.
+func TestFlippedDigitIsAMiss(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		name := "after Put"
+		if reopen {
+			name = "after Open"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			rep := report(t, 9)
+			s := open(t, dir)
+			if err := s.Put(rep.CacheKey, rep); err != nil {
+				t.Fatal(err)
+			}
+			if reopen {
+				if s = open(t, dir); s.Len() != 1 {
+					t.Fatalf("reopened store has %d entries, want 1", s.Len())
+				}
+			}
+			flipCyclesDigit(t, s.keyPath(rep.CacheKey))
+			if got, ok := s.Get(rep.CacheKey); ok {
+				t.Fatalf("Get served an altered entry: cycles %d, the run had %d", got.Cycles, rep.Cycles)
+			}
+			if st := s.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 1 {
+				t.Errorf("altered entry not dropped as a miss: %+v", st)
+			}
+		})
 	}
 }
 
@@ -141,20 +211,11 @@ func TestSchemaVersionRejection(t *testing.T) {
 	// Rewrite the entry in place with a foreign schema version, keeping
 	// everything else (filename included) valid.
 	path := s.keyPath(rep.CacheKey)
-	var raw map[string]any
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["schema_version"] = shelfsim.SchemaVersion + 98
-	foreign, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+	if err := os.WriteFile(path, foreignVersion(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,6 +227,22 @@ func TestSchemaVersionRejection(t *testing.T) {
 	if _, ok := s2.Get(rep.CacheKey); ok {
 		t.Error("foreign-schema entry was served")
 	}
+}
+
+// foreignVersion re-encodes an entry under a schema version this build
+// does not speak.
+func foreignVersion(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["schema_version"] = shelfsim.SchemaVersion + 98
+	foreign, err := json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return foreign
 }
 
 // TestMismatchedFilenameRejected: an entry whose content does not hash to
@@ -262,4 +339,132 @@ func TestConcurrentPutGet(t *testing.T) {
 	if s.Len() != len(reps) {
 		t.Errorf("store has %d entries, want %d", s.Len(), len(reps))
 	}
+}
+
+// TestOpenDeterministicAcrossGOMAXPROCS: Open validates entries in
+// parallel, but what it indexes and counts is the same on one goroutine
+// as on eight, over a directory holding every kind of file it meets.
+func TestOpenDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	reps := []shelfsim.Report{report(t, 12), report(t, 13), report(t, 14), report(t, 15)}
+	build := func() string {
+		dir := t.TempDir()
+		s := open(t, dir)
+		for _, rep := range reps {
+			if err := s.Put(rep.CacheKey, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		good, err := os.ReadFile(s.keyPath(reps[0].CacheKey))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{
+			filepath.Base(s.keyPath(reps[3].CacheKey)): foreignVersion(t, good),
+			strings.Repeat("ab", 32) + entryExt:        good[:len(good)/2],
+			strings.Repeat("cd", 32) + entryExt:        good,
+			tmpPrefix + "1":                            good[:len(good)/3],
+			tmpPrefix + "2":                            nil,
+		}
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	want := Stats{Entries: 3, WarmEntries: 3, SkippedOnOpen: 3}
+	wantKeys := []string{reps[0].CacheKey, reps[1].CacheKey, reps[2].CacheKey}
+	slices.Sort(wantKeys)
+	for _, procs := range []int{1, 8} {
+		dir := build()
+		prev := runtime.GOMAXPROCS(procs)
+		s, err := Open(dir)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st != want {
+			t.Errorf("GOMAXPROCS=%d: stats %+v, want %+v", procs, st, want)
+		}
+		var keys []string
+		for key := range s.index {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, wantKeys) {
+			t.Errorf("GOMAXPROCS=%d indexed %v, want %v", procs, keys, wantKeys)
+		}
+		debris, err := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
+		if err != nil || len(debris) != 0 {
+			t.Errorf("GOMAXPROCS=%d: temporaries survived Open: %v %v", procs, debris, err)
+		}
+	}
+}
+
+// FuzzStoreOpen: whatever bytes sit in an entry file, under its own name
+// or another, Open does not panic, accounts for every candidate file as
+// indexed or skipped, and serves only reports that decode, carry the key
+// they are served under and hash to their own filename.
+func FuzzStoreOpen(f *testing.F) {
+	neighbour := report(f, 16)
+	data, err := json.Marshal(report(f, 17))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(data, false)
+	f.Add(data[:len(data)/2], false)
+	f.Add(flipped, false)
+	f.Add(foreignVersion(f, data), false)
+	f.Add(data, true)
+	f.Fuzz(func(t *testing.T, data []byte, misname bool) {
+		dir := t.TempDir()
+		s := open(t, dir)
+		if err := s.Put(neighbour.CacheKey, neighbour); err != nil {
+			t.Fatal(err)
+		}
+		name := strings.Repeat("ab", 32) + entryExt
+		var probe struct {
+			CacheKey string `json:"cache_key"`
+		}
+		if json.Unmarshal(data, &probe) == nil && probe.CacheKey != "" && !misname {
+			name = filepath.Base(s.keyPath(probe.CacheKey))
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		candidates, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		s = open(t, dir)
+		if st := s.Stats(); st.Entries+st.SkippedOnOpen != len(candidates) {
+			t.Fatalf("stats %+v do not account for %d candidate files", st, len(candidates))
+		}
+		keys := make([]string, 0, len(s.index))
+		for key := range s.index {
+			keys = append(keys, key)
+		}
+		for _, key := range keys {
+			rep, ok := s.Get(key)
+			if !ok {
+				t.Fatalf("indexed key %q was not served", key)
+			}
+			if rep.CacheKey != key {
+				t.Fatalf("key %q served a report for %q", key, rep.CacheKey)
+			}
+			if got, want := s.index[key].path, s.keyPath(key); got != want {
+				t.Fatalf("key %q served from %s, not its own filename %s", key, got, want)
+			}
+			body, ok := s.GetBytes(key)
+			if !ok {
+				t.Fatalf("indexed key %q was not served as bytes", key)
+			}
+			if _, err := shelfsim.DecodeReport(body); err != nil {
+				t.Fatalf("key %q served bytes that do not decode: %v", key, err)
+			}
+		}
+	})
 }

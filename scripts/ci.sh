@@ -62,6 +62,13 @@ go test -race -count=1 -run TestAsmGoldenFingerprints .
 # under internal/asm/testdata keeps past discoveries as regression seeds.
 go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 
+# Result-store totality fuzz, same budget: whatever bytes an entry file
+# holds (truncated, bit-flipped, a foreign schema version, a wrong name),
+# store.Open must not panic, must count every candidate file as indexed
+# or skipped, and must serve only reports that decode, carry the key they
+# are served under and hash to their own filename.
+go test -run '^$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store/
+
 # Lazy-schedule and reference-emulator race gate, explicitly under -race
 # and repeated: Assemble keeps no schedule, and the first NewStream builds
 # it once behind a sync.Once. Goroutines opening streams on one fresh
@@ -84,8 +91,10 @@ go test -race -count=1 -run TestTelemetryParallelMergeMatchesSerial ./internal/r
 
 # Serving-layer race gate, run explicitly for the same reason: the shelfd
 # queue/dedup/drain machinery and the typed client are all about concurrent
-# admission, so their suites must always execute under -race, uncached.
-go test -race -count=1 ./internal/serve/ ./client/
+# admission, and the result store is read and written by every shard owner
+# at once and indexed by a parallel Open, so their suites must always
+# execute under -race, uncached.
+go test -race -count=1 ./internal/serve/ ./internal/store/ ./client/
 
 # Chip determinism gate, explicitly under -race and uncached: the N-core
 # chip steps one goroutine per core, and the parallel path must be
