@@ -84,16 +84,12 @@ type Core struct {
 	// kinds must wait for their target structure to be populated).
 	faultInjected bool
 
-	// retireObs, when non-nil, observes every instruction at the moment it
-	// fully retires in program order (see SetRetireObserver).
-	retireObs func(tid int, seq int64)
-
 	// obs is this core's telemetry collector (nil unless Config.Telemetry);
-	// hooks are the per-core debug tracers and observers. Both are owned by
+	// observer receives the event stream (SetObserver). Both are owned by
 	// the instance, so concurrently simulated cores share no mutable
 	// instrumentation state.
-	obs   *obs.Collector
-	hooks traceHooks
+	obs      *obs.Collector
+	observer func(Event)
 
 	stats Stats
 }
@@ -112,7 +108,6 @@ func New(cfg config.Config, streams []isa.Stream) (*Core, error) {
 		cfg:   cfg,
 		hier:  mem.NewHierarchy(cfg.Mem),
 		ssets: storesets.New(cfg.StoreSets),
-		hooks: traceHooks{thread: -1},
 	}
 	if cfg.Telemetry {
 		c.obs = obs.New()
@@ -272,11 +267,6 @@ func (c *Core) Step() {
 		c.checkInvariants()
 	}
 }
-
-// SetRetireObserver installs a callback invoked once per instruction as it
-// fully retires, in program order per thread. Differential validation uses
-// it to compare retired-instruction streams across configurations.
-func (c *Core) SetRetireObserver(fn func(tid int, seq int64)) { c.retireObs = fn }
 
 // Run steps the core until every thread finishes or maxCycles elapses; it
 // returns the number of cycles executed and whether all threads finished.

@@ -232,14 +232,17 @@ func TestAllShelfIssuesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetIssueObserver(func(tid int, seq int64, toShelf bool) {
-		if !toShelf {
-			t.Errorf("IQ issue under all-shelf steering (t%d seq %d)", tid, seq)
+	c.SetObserver(func(ev Event) {
+		if ev.Kind != EvIssue {
+			return
 		}
-		if prev, ok := lastSeq[tid]; ok && seq <= prev {
-			t.Errorf("thread %d issued seq %d after %d", tid, seq, prev)
+		if !ev.ToShelf {
+			t.Errorf("IQ issue under all-shelf steering (t%d seq %d)", ev.Tid, ev.Seq)
 		}
-		lastSeq[tid] = seq
+		if prev, ok := lastSeq[ev.Tid]; ok && ev.Seq <= prev {
+			t.Errorf("thread %d issued seq %d after %d", ev.Tid, ev.Seq, prev)
+		}
+		lastSeq[ev.Tid] = ev.Seq
 	})
 	run(t, c, 2_000_000)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"shelfsim/internal/isa"
 	"shelfsim/internal/obs"
 )
@@ -191,7 +189,7 @@ func (c *Core) retireShelfOp(t *thread, u *uop, now int64) {
 		} else {
 			c.hier.StoreCommit(u.inst.Addr, now)
 			t.commitStore(u.inst.Addr>>3, now)
-			c.observeMem(MemStoreCommit, u, now)
+			c.emit(EvStoreCommit, u, now)
 		}
 	}
 	t.retiredShelf++
@@ -226,13 +224,6 @@ func (c *Core) checkViolations(t *thread, u *uop, now int64) {
 		return
 	}
 	t.memViolations++
-	if c.hooks.violationFn != nil {
-		c.hooks.violationFn(
-			fmt.Sprintf("store t%d seq=%d pc=%x shelf=%v issue=%d addrRdy=%d dispatch=%d",
-				u.tid, u.seq, u.inst.PC, u.toShelf, u.issueCycle, u.addrReadyCycle, u.dispatchCycle),
-			fmt.Sprintf("load seq=%d pc=%x shelf=%v issue=%d fwdFrom=%d dep=%d dispatch=%d",
-				victim.seq, victim.inst.PC, victim.toShelf, victim.issueCycle, victim.forwardedFromSeq, victim.depStoreSeq, victim.dispatchCycle))
-	}
 	c.ssets.Violation(c.taggedPCOf(t, victim), c.taggedPC(u))
 	c.obs.RecordSquash(obs.SquashMemOrder)
 	c.squash(t, victim.seq, now)

@@ -1,6 +1,9 @@
 package core
 
-import "shelfsim/internal/isa"
+import (
+	"shelfsim/internal/config"
+	"shelfsim/internal/isa"
+)
 
 // Test-only accessors. Keeping them in an _test file means the production
 // binary carries none of this. (The invariant checker itself lives in
@@ -62,4 +65,12 @@ func (c *Core) HeldByRAT() (pri, ext int) {
 		}
 	}
 	return
+}
+
+// LoadToLoadWorkload is the configuration and one-thread stream of
+// TestShelfLoadForwardsFromYoungerIQLoad, for the external test that runs
+// the litmus checker over its event stream.
+func LoadToLoadWorkload() (config.Config, []isa.Stream) {
+	cfg, p := loadToLoadProgram()
+	return cfg, []isa.Stream{p.stream("load-to-load")}
 }

@@ -306,7 +306,6 @@ func (c *Core) issueOne(u *uop, now int64) {
 		if u.toShelf {
 			c.coalesceShelfStore(t, u, now)
 		}
-		c.observeMem(MemStoreIssue, u, now)
 		c.stats.LSQSearches++ // address CAM check on younger loads
 	case isa.OpBranch:
 		u.completeCycle = now + lat
@@ -329,10 +328,7 @@ func (c *Core) issueOne(u *uop, now int64) {
 	}
 
 	c.obs.RecordIssue(u.inst.Op, u.toShelf, u.issueCycle-u.dispatchCycle, u.completeCycle-u.issueCycle)
-	c.traceUop("issue", u, now)
-	if c.hooks.issueFn != nil {
-		c.hooks.issueFn(u.tid, u.seq, u.toShelf)
-	}
+	c.emit(EvIssue, u, now)
 	if u.completeCycle <= now {
 		c.fail(u.tid, "event-order", "op %v scheduled to complete at cycle %d, not after %d", u, u.completeCycle, now)
 	}
@@ -366,7 +362,6 @@ func (c *Core) issueLoad(t *thread, u *uop, now int64) {
 		u.completeCycle = now + 2
 		t.loadForwards++
 		c.stats.LoadForwards++
-		c.observeLoad(u, now, LoadFromStore, provider.seq)
 		return
 	}
 
@@ -385,7 +380,6 @@ func (c *Core) issueLoad(t *thread, u *uop, now int64) {
 			u.completeCycle = maxInt64(now+2, v.completeCycle)
 			t.loadForwards++
 			c.stats.LoadForwards++
-			c.observeLoad(u, now, LoadFromLoad, v.seq)
 			return
 		}
 	}
@@ -393,7 +387,6 @@ func (c *Core) issueLoad(t *thread, u *uop, now int64) {
 	ready, lvl := c.hier.Load(u.inst.Addr, now+1)
 	u.completeCycle = maxInt64(ready, now+3)
 	c.stats.LoadsByLevel[lvl]++
-	c.observeLoad(u, now, LoadFromCache, -1)
 }
 
 // coalesceShelfStore marks a shelf store that merges into the next older

@@ -7,55 +7,50 @@ import (
 	"shelfsim/internal/isa"
 )
 
-// memmodel_test.go holds directed tests for the memory-model observation
-// points (SetMemObserver) and the store-to-load forwarding / shelf-store
+// memmodel_test.go holds directed tests for the memory-model side of the
+// event stream (SetObserver) and the store-to-load forwarding / shelf-store
 // coalescing edge cases the litmus checker relies on: same-cycle
 // store/load forwarding, forwarding across a coalesced pair, the
-// store-buffer coalescing window, and forwarding from a store that is
-// later squashed. internal/litmus cannot be imported here (it imports
-// core), so the tests assert directly on the captured event stream.
+// store-buffer coalescing window, forwarding from a store that is later
+// squashed, and a shelf load forwarding from a younger IQ load.
+// internal/litmus cannot be imported here (it imports core), so the tests
+// assert directly on the captured event stream.
 
-// captureMem attaches a recording observer and returns the event slice.
-func captureMem(c *Core) *[]MemEvent {
-	events := &[]MemEvent{}
-	c.SetMemObserver(func(ev MemEvent) { *events = append(*events, ev) })
+// captureEvents attaches a recording observer and returns the event slice.
+func captureEvents(c *Core) *[]Event {
+	events := &[]Event{}
+	c.SetObserver(func(ev Event) { *events = append(*events, ev) })
 	return events
 }
 
-func loadIssues(events []MemEvent, addr uint64) []MemEvent {
-	var out []MemEvent
+// issues returns the issue events of op-class ops at addr.
+func issues(events []Event, op isa.OpClass, addr uint64) []Event {
+	var out []Event
 	for _, ev := range events {
-		if ev.Kind == MemLoadIssue && ev.Addr == addr {
+		if ev.Kind == EvIssue && ev.Op == op && ev.Addr == addr {
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-func storeIssues(events []MemEvent, addr uint64) []MemEvent {
-	var out []MemEvent
-	for _, ev := range events {
-		if ev.Kind == MemStoreIssue && ev.Addr == addr {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
+func loadIssues(events []Event, addr uint64) []Event  { return issues(events, isa.OpLoad, addr) }
+func storeIssues(events []Event, addr uint64) []Event { return issues(events, isa.OpStore, addr) }
 
-func commitSeqs(events []MemEvent, addr uint64) map[int64]bool {
+func commitSeqs(events []Event, addr uint64) map[int64]bool {
 	out := map[int64]bool{}
 	for _, ev := range events {
-		if ev.Kind == MemStoreCommit && ev.Addr == addr {
+		if ev.Kind == EvStoreCommit && ev.Addr == addr {
 			out[ev.Seq] = true
 		}
 	}
 	return out
 }
 
-func squashes(events []MemEvent) []MemEvent {
-	var out []MemEvent
+func squashes(events []Event) []Event {
+	var out []Event
 	for _, ev := range events {
-		if ev.Kind == MemSquash {
+		if ev.Kind == EvSquash {
 			out = append(out, ev)
 		}
 	}
@@ -84,7 +79,7 @@ func TestSameCycleStoreLoadForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := captureMem(c)
+	events := captureEvents(c)
 	run(t, c, 10_000)
 
 	sts := storeIssues(*events, addr)
@@ -126,7 +121,7 @@ func TestForwardAcrossCoalescedPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := captureMem(c)
+	events := captureEvents(c)
 	run(t, c, 10_000)
 
 	sts := storeIssues(*events, addr)
@@ -178,7 +173,7 @@ func TestStoreBufferCoalesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := captureMem(c)
+	events := captureEvents(c)
 	run(t, c, 10_000)
 
 	sts := storeIssues(*events, addr)
@@ -195,7 +190,7 @@ func TestStoreBufferCoalesce(t *testing.T) {
 	// came from the store buffer, not from an in-window elder entry.
 	var elderRetire int64 = -1
 	for _, ev := range *events {
-		if ev.Kind == MemRetire && ev.Seq == elder.Seq {
+		if ev.Kind == EvRetire && ev.Seq == elder.Seq {
 			elderRetire = ev.Cycle
 		}
 	}
@@ -234,7 +229,7 @@ func TestForwardAfterViolationReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := captureMem(c)
+	events := captureEvents(c)
 	run(t, c, 10_000)
 
 	if len(squashes(*events)) == 0 {
@@ -285,7 +280,7 @@ func TestForwardFromSquashedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := captureMem(c)
+	events := captureEvents(c)
 	run(t, c, 10_000)
 
 	sq := squashes(*events)
@@ -321,5 +316,64 @@ func TestForwardFromSquashedStore(t *testing.T) {
 	}
 	if got := c.RetiredOf(0); got != 7 {
 		t.Fatalf("retired %d instructions, want 7", got)
+	}
+}
+
+// loadToLoadProgram is the workload of TestShelfLoadForwardsFromYoungerIQLoad
+// under coarse steering with a two-instruction interval: twenty
+// cache-missing loads that all write r10, a load of line 0x40 into r10
+// (seq 20), three ALU fillers, and a younger load of the same line into
+// r12 (seq 24).
+func loadToLoadProgram() (config.Config, *program) {
+	p := newProgram()
+	for i := 0; i < 20; i++ {
+		p.load(10, uint64(i+1)<<20)
+	}
+	p.load(10, 0x40)
+	for i := 0; i < 3; i++ {
+		p.alu(2, 2)
+	}
+	p.load(12, 0x40)
+	return config.Coarse64(1, 2), p
+}
+
+// TestShelfLoadForwardsFromYoungerIQLoad reaches load-to-load forwarding
+// (§III-D) in a real run. Practical and oracle steering never shelve a
+// load: a load goes to the shelf only on a strict win, and neither
+// predicts a shelf issue earlier than the IQ's. All-shelf steering has no
+// IQ loads. Coarse steering is the one policy that mixes the two, since
+// it flips a thread between all-shelf and all-IQ mode every
+// CoarseInterval retired instructions. Here the misses fill the load
+// queue, and as they retire the thread flips to shelf mode for the elder
+// load of 0x40 and back to IQ mode by the younger one. The shelf load
+// waits on the WAW scoreboard (§III-C) for the last miss to write r10,
+// while the younger IQ load issues at once; so when the shelf load issues
+// it forwards from the younger load.
+func TestShelfLoadForwardsFromYoungerIQLoad(t *testing.T) {
+	cfg, p := loadToLoadProgram()
+	c, err := New(cfg, []isa.Stream{p.stream("load-to-load")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := captureEvents(c)
+	run(t, c, 10_000)
+
+	lds := loadIssues(*events, 0x40)
+	if len(lds) != 2 {
+		t.Fatalf("got %d issues of line 0x40, want 2\nevents: %+v", len(lds), lds)
+	}
+	young, elder := lds[0], lds[1]
+	if young.Seq != 24 || young.ToShelf || elder.Seq != 20 || !elder.ToShelf {
+		t.Fatalf("want IQ load seq 24 to issue before shelf load seq 20, got %+v then %+v", young, elder)
+	}
+	if young.Source != LoadFromCache {
+		t.Errorf("IQ load observed source=%d, want the cache", young.Source)
+	}
+	if elder.Source != LoadFromLoad || elder.ProviderSeq != young.Seq {
+		t.Errorf("shelf load observed (source=%d provider=%d), want forward from load seq %d",
+			elder.Source, elder.ProviderSeq, young.Seq)
+	}
+	if got := c.RetiredOf(0); got != int64(len(p.insts)) {
+		t.Errorf("retired %d instructions, want %d", got, len(p.insts))
 	}
 }

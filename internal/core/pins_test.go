@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -135,4 +136,70 @@ func BenchmarkFig10Core(b *testing.B) {
 		retired += n
 	}
 	b.ReportMetric(float64(retired)/time.Since(start).Seconds()/1e6, "Minst/s")
+}
+
+// pinEvent is one observed event reduced to the fields the stream pin
+// hashes. Kinds are letters so the pin never depends on constant values.
+type pinEvent struct {
+	kind     byte
+	tid      int
+	seq      int64
+	cycle    int64
+	source   LoadSource
+	provider int64
+}
+
+// recordPinEvents feeds fn one pinEvent per core event.
+func recordPinEvents(c *Core, fn func(pinEvent)) {
+	kinds := [...]byte{EvIssue: 'I', EvStoreCommit: 'C', EvRetire: 'R', EvSquash: 'S'}
+	c.SetObserver(func(ev Event) {
+		fn(pinEvent{kinds[ev.Kind], ev.Tid, ev.Seq, ev.Cycle, ev.Source, ev.ProviderSeq})
+	})
+}
+
+// TestEventStreamPinned pins the core's event stream on one 4-thread
+// shelf64-opt paper mix: the count of each event kind and an FNV-1a hash
+// over every event's (kind, tid, seq, cycle, source, provider) in stream
+// order. Any change to what the stream reports, or when, moves the pin.
+func TestEventStreamPinned(t *testing.T) {
+	const (
+		wantIssues   = 382538
+		wantCommits  = 22324
+		wantRetires  = 382513
+		wantSquashes = 69
+		wantHash     = "b21fddf33311c3f7"
+	)
+	mix := workload.PaperMixes(4)[0]
+	streams := make([]isa.Stream, len(mix.Kernels))
+	for i, k := range mix.Kernels {
+		streams[i] = k.NewStream(uint64(i+1)<<32, uint64(i)+1, -1)
+	}
+	c, err := New(config.Shelf64(4, true), streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetireTargets(500, 1500)
+	counts := map[byte]int{}
+	h := fnv.New64a()
+	var buf []byte
+	recordPinEvents(c, func(e pinEvent) {
+		counts[e.kind]++
+		buf = append(buf[:0], e.kind, byte(e.tid), byte(e.source))
+		for _, v := range []int64{e.seq, e.cycle, e.provider} {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	})
+	if _, ok := c.Run(10_000_000); !ok {
+		t.Fatalf("%s did not finish", mix.Name())
+	}
+	got := fmt.Sprintf("%016x", h.Sum64())
+	t.Logf("%s: %d issues, %d commits, %d retires, %d squashes, hash %s",
+		mix.Name(), counts['I'], counts['C'], counts['R'], counts['S'], got)
+	if counts['I'] != wantIssues || counts['C'] != wantCommits ||
+		counts['R'] != wantRetires || counts['S'] != wantSquashes || got != wantHash {
+		t.Errorf("event stream moved: got %d/%d/%d/%d %s, pinned %d/%d/%d/%d %s",
+			counts['I'], counts['C'], counts['R'], counts['S'], got,
+			wantIssues, wantCommits, wantRetires, wantSquashes, wantHash)
+	}
 }

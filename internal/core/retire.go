@@ -47,7 +47,6 @@ func (c *Core) retireOne(t *thread, now int64) bool {
 	u.state = stateRetired
 	t.robHead++
 	c.stats.ROBReads++
-	c.traceUop("retire", u, now)
 
 	// Free the previous mapping (§III-C): the physical register returns
 	// to the physical free list; a differing tag came from the extension
@@ -68,7 +67,7 @@ func (c *Core) retireOne(t *thread, now int64) bool {
 		t.sq = popQueueFront(t.sq)
 		c.hier.StoreCommit(u.inst.Addr, now)
 		t.commitStore(u.inst.Addr>>3, now)
-		c.observeMem(MemStoreCommit, u, now)
+		c.emit(EvStoreCommit, u, now)
 	case isa.OpLoad:
 		if len(t.lq) == 0 || t.lq[0] != u {
 			c.fail(t.id, "lq-head", "retiring load %v is not the LQ head", u)
@@ -87,12 +86,7 @@ func (c *Core) pruneRetired(t *thread, now int64) {
 		u := t.inflight[i]
 		t.retired++
 		c.stats.Retired++
-		if c.retireObs != nil {
-			c.retireObs(t.id, u.seq)
-		}
-		if u.inst.Op.IsMem() {
-			c.observeMem(MemRetire, u, now)
-		}
+		c.emit(EvRetire, u, now)
 		if u.inSeq {
 			t.retiredInSeq++
 		}

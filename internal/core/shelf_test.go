@@ -56,7 +56,7 @@ func TestShelfRunCondition(t *testing.T) {
 	}
 }
 
-// TestShelfIssueAfterElderIQ uses the issue observer to verify the §III-A
+// TestShelfIssueAfterElderIQ uses the issue events to verify the §III-A
 // invariant directly under practical steering: a shelf instruction never
 // issues while an elder same-thread instruction is unissued.
 func TestShelfIssueAfterElderIQ(t *testing.T) {
@@ -69,8 +69,10 @@ func TestShelfIssueAfterElderIQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetIssueObserver(func(tid int, seq int64, toShelf bool) {
-		issued = append(issued, rec{seq, toShelf})
+	c.SetObserver(func(ev Event) {
+		if ev.Kind == EvIssue {
+			issued = append(issued, rec{ev.Seq, ev.ToShelf})
+		}
 	})
 	run(t, c, 1_000_000)
 

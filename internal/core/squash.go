@@ -9,8 +9,8 @@ import "shelfsim/internal/isa"
 func (c *Core) squash(t *thread, fromSeq int64, now int64) {
 	t.squashes++
 	c.stats.Squashes++
-	if c.hooks.memFn != nil {
-		c.hooks.memFn(MemEvent{Kind: MemSquash, Tid: t.id, Seq: fromSeq, Cycle: now, ProviderSeq: -1})
+	if c.observer != nil {
+		c.observer(Event{Kind: EvSquash, Tid: t.id, Seq: fromSeq, Cycle: now, ProviderSeq: -1})
 	}
 
 	// Front end: drop fetched-but-undispatched ops (fetchQ is in order).

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"shelfsim/internal/isa"
-)
+import "shelfsim/internal/isa"
 
 // Steerer decides, per instruction at decode, whether to dispatch to the
 // shelf or the issue queue (§IV), and receives the hooks needed to track
@@ -115,10 +111,6 @@ func (practicalSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
 	issueChosen, completeChosen := issueIQ, completeIQ
 	if toShelf {
 		issueChosen, completeChosen = issueShelf, completeShelf
-	}
-	if c.hooks.steerFn != nil && c.inTraceWindow(u) {
-		c.hooks.steerFn(fmt.Sprintf("steer %s seq=%d now=%d srcMax=%d relEI=%d relWB=%d cIQ=%d cSh=%d toShelf=%v late=%b",
-			u.inst.Op, u.seq, now, srcMax, relEI, relWB, completeIQ, completeShelf, toShelf, t.plt.LateMask()))
 	}
 
 	// Update predictions.

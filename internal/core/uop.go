@@ -120,9 +120,10 @@ type uop struct {
 
 	// addrReadyCycle is when a memory op's effective address is known.
 	addrReadyCycle int64
-	// forwarded marks a load satisfied by store-to-load forwarding.
+	// forwarded marks a load satisfied by store-to-load or (shelf)
+	// load-to-load forwarding.
 	forwarded bool
-	// forwardedFromSeq is the seq of the providing store (or -1).
+	// forwardedFromSeq is the seq of the providing store or load (or -1).
 	forwardedFromSeq int64
 	// depStoreSeq is the store-sets-predicted producer store this load
 	// must wait for (-1 if none).

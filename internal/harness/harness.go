@@ -54,11 +54,23 @@ type Harness struct {
 	// (config.FaultWindow, FaultStoreDrop, FaultWakeupTag).
 	FaultKind config.FaultKind
 
-	mu        sync.Mutex
-	singleCPI map[string]float64
-	runCache  map[string]*core.Result
-	failCache map[string]*runner.SimError
-	failures  []*runner.SimError
+	mu       sync.Mutex
+	runs     map[string]outcome
+	failures []*runner.SimError
+}
+
+// outcome is one cached simulation: its result, or its deterministic
+// failure.
+type outcome struct {
+	res *core.Result
+	err *runner.SimError
+}
+
+func (o outcome) result() (*core.Result, error) {
+	if o.err != nil {
+		return nil, o.err
+	}
+	return o.res, nil
 }
 
 // New builds a harness with the given measurement window; warmup defaults
@@ -68,13 +80,11 @@ func New(insts int64, mixCount int) *Harness {
 		mixCount = 28
 	}
 	return &Harness{
-		Warmup:    insts / 2,
-		Insts:     insts,
-		MixCount:  mixCount,
-		Runner:    &runner.Runner{},
-		singleCPI: make(map[string]float64),
-		runCache:  make(map[string]*core.Result),
-		failCache: make(map[string]*runner.SimError),
+		Warmup:   insts / 2,
+		Insts:    insts,
+		MixCount: mixCount,
+		Runner:   &runner.Runner{},
+		runs:     make(map[string]outcome),
 	}
 }
 
@@ -129,33 +139,18 @@ func (h *Harness) Run(cfg config.Config, mix workload.Mix) (*core.Result, error)
 	h.prepare(&cfg, mix)
 	key := h.cacheKey(&cfg, mix)
 	h.mu.Lock()
-	if r, ok := h.runCache[key]; ok {
-		h.mu.Unlock()
-		return r, nil
-	}
-	if se, ok := h.failCache[key]; ok {
-		// Deterministic failure already recorded: don't re-run, don't
-		// double-count it in the manifest.
-		h.mu.Unlock()
-		return nil, se
-	}
+	o, ok := h.runs[key]
 	h.mu.Unlock()
+	if ok {
+		return o.result()
+	}
 
 	res, simErr := h.Runner.Execute(context.Background(), runner.Job{
 		Config: cfg, Mix: mix, Warmup: h.Warmup, Measure: h.Insts,
 	})
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if simErr != nil {
-		h.recordFailure(key, simErr)
-		return nil, simErr
-	}
-	if prev, ok := h.runCache[key]; ok {
-		// A concurrent run won the race; keep the first pointer stable.
-		return prev, nil
-	}
-	h.runCache[key] = res
-	return res, nil
+	return h.record(key, res, simErr).result()
 }
 
 // Prewarm executes the cross product of configs and mixes on the runner's
@@ -171,7 +166,7 @@ func (h *Harness) Prewarm(ctx context.Context, configs []config.Config, mixes []
 			cfg := base
 			h.prepare(&cfg, mix)
 			key := h.cacheKey(&cfg, mix)
-			if _, ok := h.runCache[key]; ok {
+			if _, ok := h.runs[key]; ok {
 				continue
 			}
 			jobs = append(jobs, runner.Job{
@@ -186,27 +181,31 @@ func (h *Harness) Prewarm(ctx context.Context, configs []config.Config, mixes []
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, jr := range rep.Results {
-		if jr.Err != nil {
-			h.recordFailure(keys[i], jr.Err)
-			continue
-		}
-		if _, ok := h.runCache[keys[i]]; !ok {
-			h.runCache[keys[i]] = jr.Result
-		}
+		h.record(keys[i], jr.Result, jr.Err)
 	}
 	return rep
 }
 
-// recordFailure logs a supervised failure once and negatively caches
-// deterministic ones (panics, invariant violations, exhausted cycle
-// budgets) so later lookups don't re-run a known-bad job. Transient
-// failures (wall-clock timeouts) stay uncached: a retry under different
-// load may succeed. Callers must hold h.mu.
-func (h *Harness) recordFailure(key string, se *runner.SimError) {
-	h.failures = append(h.failures, se)
-	if !se.Transient {
-		h.failCache[key] = se
+// record caches one finished job and returns the outcome lookups see. The
+// first result for a key wins a race, so its pointer stays stable. A
+// failure is logged once, and a deterministic one (a panic, an invariant
+// violation, an exhausted cycle budget) is cached so later lookups don't
+// re-run a known-bad job. Transient failures (wall-clock timeouts) stay
+// uncached: a retry under different load may succeed. Callers must hold
+// h.mu.
+func (h *Harness) record(key string, res *core.Result, se *runner.SimError) outcome {
+	if se != nil {
+		h.failures = append(h.failures, se)
+		if !se.Transient {
+			h.runs[key] = outcome{err: se}
+		}
+		return outcome{err: se}
 	}
+	if o, ok := h.runs[key]; ok {
+		return o
+	}
+	h.runs[key] = outcome{res: res}
+	return h.runs[key]
 }
 
 // Failures returns the supervised failures recorded so far, oldest first.
@@ -227,17 +226,26 @@ func (h *Harness) MergedTelemetry() *obs.Collector {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	m := obs.New()
-	for _, res := range h.runCache {
-		m.Merge(res.Obs)
+	for _, o := range h.runs {
+		if o.res != nil {
+			m.Merge(o.res.Obs)
+		}
 	}
 	return m
 }
 
-// Runs returns how many distinct simulations the harness has cached.
+// Runs returns how many distinct successful simulations the harness has
+// cached.
 func (h *Harness) Runs() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.runCache)
+	n := 0
+	for _, o := range h.runs {
+		if o.res != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Skippable reports whether err is a supervised per-run failure that a
@@ -251,25 +259,15 @@ func Skippable(err error) bool {
 // baseline core — the normalization point for STP, shared by every
 // configuration so STP ratios are directly comparable.
 func (h *Harness) SingleCPI(kernel *workload.Kernel) (float64, error) {
-	h.mu.Lock()
-	cpi, ok := h.singleCPI[kernel.Name]
-	h.mu.Unlock()
-	if ok {
-		return cpi, nil
-	}
-	cfg := config.Base64(1)
 	mix := workload.Mix{ID: 0, Kernels: []*workload.Kernel{kernel}}
-	res, err := h.Run(cfg, mix)
+	res, err := h.Run(config.Base64(1), mix)
 	if err != nil {
 		return 0, err
 	}
-	cpi = res.Threads[0].CPI
+	cpi := res.Threads[0].CPI
 	if cpi <= 0 {
 		return 0, fmt.Errorf("harness: non-positive single-thread CPI for %s", kernel.Name)
 	}
-	h.mu.Lock()
-	h.singleCPI[kernel.Name] = cpi
-	h.mu.Unlock()
 	return cpi, nil
 }
 

@@ -153,3 +153,27 @@ func TestHarnessFaultKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestPrewarmSkipsKnownFailures: a deterministic failure is simulated and
+// recorded once. Prewarm consults the same result map as Run, so neither
+// a second Prewarm nor a later Run re-runs a faulted job, and the failure
+// manifest holds exactly one entry per faulted mix.
+func TestPrewarmSkipsKnownFailures(t *testing.T) {
+	h := tiny()
+	h.FaultConfig = config.Base64(4).Name
+	h.FaultCycle = 60
+	configs := []config.Config{config.Base64(4)}
+	mixes := h.Mixes(4)
+	h.Prewarm(context.Background(), configs, mixes)
+	if rep := h.Prewarm(context.Background(), configs, mixes); len(rep.Results) != 0 {
+		t.Errorf("second Prewarm ran %d jobs, want 0", len(rep.Results))
+	}
+	for _, mix := range mixes {
+		if _, err := h.Run(config.Base64(4), mix); !Skippable(err) {
+			t.Fatalf("Run of faulted %s: err %v, want its SimError", mix.Name(), err)
+		}
+	}
+	if got := len(h.Failures()); got != len(mixes) {
+		t.Errorf("%d failures recorded, want one per faulted mix (%d)", got, len(mixes))
+	}
+}

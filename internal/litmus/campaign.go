@@ -29,8 +29,10 @@ type CampaignConfig struct {
 	Preset string `json:"preset,omitempty"`
 	// Steer overrides the preset's steering policy by name ("all-iq",
 	// "all-shelf", "oracle", "practical", "coarse"); empty keeps the
-	// preset's own. An all-shelf campaign drives the shelf's load-to-load
-	// forwarding and store coalescing far harder than practical steering.
+	// preset's own. An all-shelf campaign drives shelf-store coalescing,
+	// which practical steering never reaches because it shelves no store.
+	// It cannot reach load-to-load forwarding: that needs a shelf load and
+	// a younger IQ load, and all-shelf steering has no IQ loads.
 	Steer string `json:"steer,omitempty"`
 	// Insts is the per-thread measured window per instance (default 160).
 	Insts int64 `json:"insts,omitempty"`
@@ -227,7 +229,7 @@ func runInstance(ctx context.Context, p Params, preset, steer string, kind confi
 		Attach: func(c *core.Core) {
 			cref = c
 			ch = NewChecker(threads)
-			c.SetMemObserver(ch.Observe)
+			c.SetObserver(ch.Observe)
 		},
 	})
 	if ch != nil {

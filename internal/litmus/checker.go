@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"shelfsim/internal/core"
+	"shelfsim/internal/isa"
 )
 
 // Violation is one axiom breach the checker observed. Axiom names are
@@ -92,8 +93,8 @@ type CheckerStats struct {
 	Squashes     int64 `json:"squashes"`
 }
 
-// Checker verifies the axiomatic memory model over a core's MemEvent
-// stream. Install with core.SetMemObserver(ch.Observe); events arrive in
+// Checker verifies the axiomatic memory model over a core's event stream.
+// Install with core.SetObserver(ch.Observe); events arrive in
 // simulation order from a single goroutine, so Checker needs no locking.
 type Checker struct {
 	threads []*threadModel
@@ -111,9 +112,9 @@ func NewChecker(threads int) *Checker {
 	c := &Checker{threads: make([]*threadModel, threads), limit: maxViolations}
 	for i := range c.threads {
 		c.threads[i] = &threadModel{
-			recs:       make(map[int64]*memRec),
-			stores:     make(map[uint64][]*memRec),
-			lastCommit: make(map[uint64]int64),
+			recs:        make(map[int64]*memRec),
+			stores:      make(map[uint64][]*memRec),
+			lastCommit:  make(map[uint64]int64),
 			lastRetired: -1,
 		}
 	}
@@ -126,7 +127,7 @@ func (c *Checker) Violations() []Violation { return c.viols }
 // Stats returns the event counts observed so far.
 func (c *Checker) Stats() CheckerStats { return c.stats }
 
-func (c *Checker) violate(ev core.MemEvent, axiom, format string, args ...any) {
+func (c *Checker) violate(ev core.Event, axiom, format string, args ...any) {
 	if len(c.viols) >= c.limit {
 		return
 	}
@@ -160,16 +161,26 @@ func (tm *threadModel) youngestElder(line uint64, before int64, inflightOnly boo
 	return nil
 }
 
-// Observe consumes one core memory event. It must see the complete stream
-// from cycle zero (install the observer before the first Step).
-func (c *Checker) Observe(ev core.MemEvent) {
+// Observe consumes one core event; only memory ops and squashes carry
+// model state. It must see the complete stream from cycle zero (install
+// the observer before the first Step).
+func (c *Checker) Observe(ev core.Event) {
 	if ev.Tid < 0 || ev.Tid >= len(c.threads) {
 		c.violate(ev, "bad-tid", "event names thread %d of %d", ev.Tid, len(c.threads))
 		return
 	}
 	tm := c.threads[ev.Tid]
-	switch ev.Kind {
-	case core.MemLoadIssue:
+	switch {
+	case ev.Kind == core.EvSquash:
+		c.stats.Squashes++
+		for _, r := range tm.all {
+			if !r.dead && !r.pruned && r.seq >= ev.Seq {
+				r.dead = true
+			}
+		}
+	case !ev.Op.IsMem():
+		// Non-memory issue and retire events carry no model state.
+	case ev.Kind == core.EvIssue && ev.Op == isa.OpLoad:
 		c.stats.Loads++
 		switch ev.Source {
 		case core.LoadFromStore:
@@ -178,30 +189,23 @@ func (c *Checker) Observe(ev core.MemEvent) {
 			c.stats.LoadFwdLoad++
 		}
 		c.loadIssue(tm, ev)
-	case core.MemStoreIssue:
+	case ev.Kind == core.EvIssue:
 		c.stats.Stores++
 		if ev.Coalesced {
 			c.stats.Coalesced++
 		}
 		c.storeIssue(tm, ev)
-	case core.MemStoreCommit:
+	case ev.Kind == core.EvStoreCommit:
 		c.stats.Commits++
 		c.storeCommit(tm, ev)
-	case core.MemRetire:
+	case ev.Kind == core.EvRetire:
 		c.stats.Retires++
 		c.retire(tm, ev)
-	case core.MemSquash:
-		c.stats.Squashes++
-		for _, r := range tm.all {
-			if !r.dead && !r.pruned && r.seq >= ev.Seq {
-				r.dead = true
-			}
-		}
 	}
 }
 
 // newRec installs a fresh incarnation for ev's sequence number.
-func (tm *threadModel) newRec(ev core.MemEvent, store bool) *memRec {
+func (tm *threadModel) newRec(ev core.Event, store bool) *memRec {
 	r := &memRec{
 		seq: ev.Seq, line: ev.Addr >> 3, store: store, toShelf: ev.ToShelf,
 		coalesced: ev.Coalesced, issueCycle: ev.Cycle,
@@ -235,7 +239,7 @@ func (tm *threadModel) newRec(ev core.MemEvent, store bool) *memRec {
 //     optimization; the provider must be a younger, already-issued IQ load
 //     of the same line, and the chain's originating store (if any) must
 //     not be younger than this load.
-func (c *Checker) loadIssue(tm *threadModel, ev core.MemEvent) {
+func (c *Checker) loadIssue(tm *threadModel, ev core.Event) {
 	r := tm.newRec(ev, false)
 	r.source = ev.Source
 	switch ev.Source {
@@ -314,7 +318,7 @@ func (c *Checker) loadIssue(tm *threadModel, ev core.MemEvent) {
 // coalescing axiom: a coalesced shelf store must have had a matching
 // victim — an elder same-line store still in the window, or a same-line
 // commit still inside the store buffer's drain window.
-func (c *Checker) storeIssue(tm *threadModel, ev core.MemEvent) {
+func (c *Checker) storeIssue(tm *threadModel, ev core.Event) {
 	r := tm.newRec(ev, true)
 	if !ev.Coalesced {
 		return
@@ -337,7 +341,7 @@ func (c *Checker) storeIssue(tm *threadModel, ev core.MemEvent) {
 // hierarchy: squashed stores must never commit, and same-line commits
 // respect program order (an elder uncommitted non-coalesced store still in
 // the window means this commit overtook it).
-func (c *Checker) storeCommit(tm *threadModel, ev core.MemEvent) {
+func (c *Checker) storeCommit(tm *threadModel, ev core.Event) {
 	r := tm.recs[ev.Seq]
 	if r == nil || !r.store {
 		c.violate(ev, "commit-unknown", "commit for unknown store seq=%d", ev.Seq)
@@ -383,7 +387,7 @@ func (c *Checker) storeCommit(tm *threadModel, ev core.MemEvent) {
 //     hierarchy.
 //   - commit-missing: a store cannot leave the window without either
 //     committing or coalescing into a store that will.
-func (c *Checker) retire(tm *threadModel, ev core.MemEvent) {
+func (c *Checker) retire(tm *threadModel, ev core.Event) {
 	r := tm.recs[ev.Seq]
 	if r == nil {
 		c.violate(ev, "retire-unknown", "retire for unobserved seq=%d", ev.Seq)

@@ -10,8 +10,8 @@
 //
 // Following QED (arxiv 2404.03113), the checker never enumerates
 // interleavings: it checks axioms over the observed value provenance the
-// core reports through SetMemObserver. In a timing simulator without data
-// values, provenance — which store (or cache state) supplied a load — is
+// core reports through its event stream (core.SetObserver). In a timing
+// simulator without data values, provenance — which store (or cache state) supplied a load — is
 // the value's identity, so "reads the youngest matching elder store"
 // becomes a directly checkable proposition.
 package litmus

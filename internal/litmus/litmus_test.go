@@ -84,40 +84,51 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 // Synthetic-event helpers: the checker is driven directly, without a core.
 
-func loadEv(seq, cycle int64, addr uint64, src core.LoadSource, prov int64, shelf bool) core.MemEvent {
-	return core.MemEvent{Kind: core.MemLoadIssue, Tid: 0, Seq: seq, Cycle: cycle,
+func loadEv(seq, cycle int64, addr uint64, src core.LoadSource, prov int64, shelf bool) core.Event {
+	return core.Event{Kind: core.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpLoad,
 		Addr: addr, ToShelf: shelf, Source: src, ProviderSeq: prov}
 }
 
-func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) core.MemEvent {
-	return core.MemEvent{Kind: core.MemStoreIssue, Tid: 0, Seq: seq, Cycle: cycle,
+func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) core.Event {
+	return core.Event{Kind: core.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
 		Addr: addr, ToShelf: shelf, Coalesced: coalesced, ProviderSeq: -1}
 }
 
-func commitEv(seq, cycle int64, addr uint64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemStoreCommit, Tid: 0, Seq: seq, Cycle: cycle,
+func commitEv(seq, cycle int64, addr uint64) core.Event {
+	return core.Event{Kind: core.EvStoreCommit, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func retireEv(seq, cycle int64, addr uint64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemRetire, Tid: 0, Seq: seq, Cycle: cycle,
+func retireEv(op isa.OpClass, seq, cycle int64, addr uint64) core.Event {
+	return core.Event{Kind: core.EvRetire, Tid: 0, Seq: seq, Cycle: cycle, Op: op,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func squashEv(fromSeq, cycle int64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
+func retireLoad(seq, cycle int64, addr uint64) core.Event {
+	return retireEv(isa.OpLoad, seq, cycle, addr)
+}
+
+func retireStore(seq, cycle int64, addr uint64) core.Event {
+	return retireEv(isa.OpStore, seq, cycle, addr)
+}
+
+func squashEv(fromSeq, cycle int64) core.Event {
+	return core.Event{Kind: core.EvSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
 }
 
 const lineA = uint64(0x1000)
 
 func TestCheckerCleanSequence(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.MemEvent{
+	for _, ev := range []core.Event{
 		storeEv(1, 2, lineA, false, false),
 		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
 		commitEv(1, 10, lineA),
-		retireEv(1, 10, lineA),
-		retireEv(2, 10, lineA),
+		retireStore(1, 10, lineA),
+		retireLoad(2, 10, lineA),
+		// Non-memory ops carry no model state: counted nowhere.
+		{Kind: core.EvIssue, Seq: 3, Cycle: 10, Op: isa.OpIntAlu, ProviderSeq: -1},
+		retireEv(isa.OpIntAlu, 3, 11, 0),
 	} {
 		ch.Observe(ev)
 	}
@@ -134,17 +145,17 @@ func TestCheckerAxioms(t *testing.T) {
 	cases := []struct {
 		name  string
 		axiom string
-		evs   []core.MemEvent
+		evs   []core.Event
 	}{
 		{
 			name:  "forward from unknown provider",
 			axiom: "fwd-provider",
-			evs:   []core.MemEvent{loadEv(2, 3, lineA, core.LoadFromStore, 99, false)},
+			evs:   []core.Event{loadEv(2, 3, lineA, core.LoadFromStore, 99, false)},
 		},
 		{
 			name:  "forward skips the youngest matching store",
 			axiom: "fwd-youngest",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				loadEv(3, 4, lineA, core.LoadFromStore, 1, false),
@@ -153,7 +164,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "cache load ignores a live elder store",
 			axiom: "stale-load",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				loadEv(2, 4, lineA, core.LoadFromCache, -1, false),
 			},
@@ -161,7 +172,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "squashed store writes the cache",
 			axiom: "squashed-visible",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				squashEv(1, 3),
 				commitEv(1, 5, lineA),
@@ -170,7 +181,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "younger store commits before elder",
 			axiom: "commit-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(2, 5, lineA),
@@ -179,33 +190,33 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "program-order retire goes backwards",
 			axiom: "retire-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(1, 5, lineA),
 				commitEv(2, 6, lineA),
-				retireEv(2, 6, lineA),
-				retireEv(1, 7, lineA),
+				retireStore(2, 6, lineA),
+				retireStore(1, 7, lineA),
 			},
 		},
 		{
 			name:  "squashed op retires",
 			axiom: "squashed-visible",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				loadEv(2, 3, lineA, core.LoadFromCache, -1, false),
 				squashEv(2, 4),
-				retireEv(2, 5, lineA),
+				retireLoad(2, 5, lineA),
 			},
 		},
 		{
 			name:  "retire of an unobserved op",
 			axiom: "retire-unknown",
-			evs:   []core.MemEvent{retireEv(42, 5, lineA)},
+			evs:   []core.Event{retireLoad(42, 5, lineA)},
 		},
 		{
 			name:  "load-to-load forwarding outside the shelf",
 			axiom: "fwd-load",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				loadEv(5, 3, lineA, core.LoadFromCache, -1, false),
 				loadEv(2, 4, lineA, core.LoadFromLoad, 5, false),
 			},
@@ -213,7 +224,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "load chain observes a younger store",
 			axiom: "fwd-load-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(3, 2, lineA, false, false),
 				loadEv(5, 3, lineA, core.LoadFromStore, 3, false),
 				loadEv(2, 4, lineA, core.LoadFromLoad, 5, true),
@@ -222,39 +233,39 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "coalesced store without a victim",
 			axiom: "coalesce-source",
-			evs:   []core.MemEvent{storeEv(1, 2, lineA, true, true)},
+			evs:   []core.Event{storeEv(1, 2, lineA, true, true)},
 		},
 		{
 			name:  "store retires without committing",
 			axiom: "commit-missing",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
-				retireEv(1, 5, lineA),
+				retireStore(1, 5, lineA),
 			},
 		},
 		{
 			name:  "load read the cache before its elder store committed",
 			axiom: "stale-final",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				commitEv(1, 9, lineA),
-				retireEv(1, 9, lineA),
+				retireStore(1, 9, lineA),
 				loadEv(2, 5, lineA, core.LoadFromCache, -1, false),
-				retireEv(2, 12, lineA),
+				retireLoad(2, 12, lineA),
 			},
 		},
 		{
 			name:  "forwarded load retires with a stale provider",
 			axiom: "fwd-final",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				loadEv(3, 3, lineA, core.LoadFromStore, 1, false),
 				storeEv(2, 4, lineA, false, false),
 				commitEv(1, 6, lineA),
 				commitEv(2, 7, lineA),
-				retireEv(1, 7, lineA),
-				retireEv(2, 8, lineA),
-				retireEv(3, 9, lineA),
+				retireStore(1, 7, lineA),
+				retireStore(2, 8, lineA),
+				retireLoad(3, 9, lineA),
 			},
 		},
 	}
@@ -298,14 +309,14 @@ func TestCheckerCoalesceVictims(t *testing.T) {
 	ch = NewChecker(1)
 	ch.Observe(storeEv(1, 2, lineA, true, false))
 	ch.Observe(commitEv(1, 4, lineA))
-	ch.Observe(retireEv(1, 4, lineA))
+	ch.Observe(retireStore(1, 4, lineA))
 	// Within storeBufDrainCycles of the commit: legitimate.
 	ch.Observe(storeEv(2, 4+core.StoreBufDrainCycles-1, lineA, true, true))
 	if v := ch.Violations(); len(v) != 0 {
 		t.Fatalf("store-buffer coalesce flagged: %v", v)
 	}
 	// Past the drain window: no victim remains.
-	ch.Observe(retireEv(2, 30, lineA))
+	ch.Observe(retireStore(2, 30, lineA))
 	ch.Observe(storeEv(3, 4+core.StoreBufDrainCycles+20, lineA, true, true))
 	found := false
 	for _, v := range ch.Violations() {
@@ -322,14 +333,14 @@ func TestCheckerCoalesceVictims(t *testing.T) {
 // re-issues with the same sequence number and retires cleanly.
 func TestCheckerSquashReplay(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.MemEvent{
+	for _, ev := range []core.Event{
 		storeEv(1, 2, lineA, false, false),
 		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
 		squashEv(2, 4),
 		loadEv(2, 6, lineA, core.LoadFromStore, 1, false), // replay
 		commitEv(1, 8, lineA),
-		retireEv(1, 8, lineA),
-		retireEv(2, 9, lineA),
+		retireStore(1, 8, lineA),
+		retireLoad(2, 9, lineA),
 	} {
 		ch.Observe(ev)
 	}

@@ -2,9 +2,12 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"shelfsim/internal/config"
+	"shelfsim/internal/core"
 	"shelfsim/internal/workload"
 )
 
@@ -113,5 +116,46 @@ func TestChipJobInvalidStreamCount(t *testing.T) {
 	})
 	if res != nil || simErr == nil {
 		t.Fatalf("chip job with wrong stream count must fail with a SimError")
+	}
+}
+
+// TestChipRejectsDrain: a chip finishes only at its retire targets, so a
+// drained chip run (both differentials) fails at once with a
+// deterministic SimError naming NumCores instead of burning its cycle
+// budget.
+func TestChipRejectsDrain(t *testing.T) {
+	r := &Runner{CyclesPerInst: 10}
+	mix := workload.PaperMixes(4)[0]
+	for name, err := range map[string]error{
+		"differential":           r.Differential(context.Background(), chipTestCfg(), chipTestCfg(), mix, 200),
+		"scheduler differential": r.SchedulerDifferential(context.Background(), chipTestCfg(), mix, 200),
+	} {
+		var se *SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: %v is not a *SimError", name, err)
+		}
+		if se.Cycle != -1 || se.Transient || !strings.Contains(se.Msg, "NumCores") {
+			t.Errorf("%s: got %+v, want a non-transient failure at cycle -1 naming NumCores", name, se)
+		}
+	}
+}
+
+// TestChipRejectsAttach: a chip rebuilds its cores on thread migration, so
+// there is no stable core to observe; a chip job with Attach fails before
+// it simulates rather than silently dropping the hook.
+func TestChipRejectsAttach(t *testing.T) {
+	attached := false
+	_, se := (&Runner{}).Execute(context.Background(), Job{
+		Config: chipTestCfg(), Mix: workload.PaperMixes(4)[0], Warmup: 100, Measure: 200,
+		Attach: func(*core.Core) { attached = true },
+	})
+	if se == nil {
+		t.Fatal("chip job with Attach ran")
+	}
+	if se.Cycle != -1 || se.Transient || !strings.Contains(se.Msg, "NumCores") {
+		t.Errorf("got %+v, want a non-transient failure at cycle -1 naming NumCores", se)
+	}
+	if attached {
+		t.Error("Attach was called on a chip job")
 	}
 }

@@ -118,20 +118,23 @@ func (r *Runner) drain(ctx context.Context, job Job) (*core.Result, error) {
 	return res, nil
 }
 
-// runRecorded drains job while recording retirement through the retire
-// observer. It verifies each thread retires sequence numbers 0,1,2,... in
+// runRecorded drains job while recording retirement from the core's event
+// stream. It verifies each thread retires sequence numbers 0,1,2,... in
 // strict program order with no drops or duplicates, and returns the
 // per-thread retire counts.
 func (r *Runner) runRecorded(ctx context.Context, job Job) ([]int64, error) {
 	next := make([]int64, job.Config.Threads)
 	var orderErr error
 	job.Attach = func(c *core.Core) {
-		c.SetRetireObserver(func(tid int, seq int64) {
-			if orderErr == nil && seq != next[tid] {
-				orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
-					job.Config.Name, job.label(), tid, seq, next[tid])
+		c.SetObserver(func(ev core.Event) {
+			if ev.Kind != core.EvRetire {
+				return
 			}
-			next[tid]++
+			if orderErr == nil && ev.Seq != next[ev.Tid] {
+				orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
+					job.Config.Name, job.label(), ev.Tid, ev.Seq, next[ev.Tid])
+			}
+			next[ev.Tid]++
 		})
 	}
 	if _, err := r.drain(ctx, job); err != nil {

@@ -83,12 +83,12 @@ type Job struct {
 	Warmup  int64
 	Measure int64
 	// Attach, when non-nil, is invoked with the freshly constructed core
-	// before the run starts, so library callers can install per-core
-	// observers (SetMemObserver, SetRetireObserver, tracers) on supervised
-	// runs. Like Streams it is library-only and never serializes. Attach is
-	// single-core only: chip jobs (Config.NumCores >= 2) rebuild cores on
-	// thread migration, so there is no stable core to observe; it is ignored
-	// in chip mode.
+	// before the run starts, so library callers can observe supervised
+	// runs: subscribe to its event stream (core.SetObserver) or read its
+	// state afterwards. Like Streams it is library-only and never
+	// serializes. Attach is single-core only: chip jobs (Config.NumCores
+	// >= 2) rebuild cores on thread migration, so there is no stable core
+	// to observe, and a chip job with Attach fails before it runs.
 	Attach func(c *core.Core)
 }
 
@@ -237,8 +237,9 @@ func (m *machine) advance(budget int64) bool {
 // SimError. Normally each thread runs Warmup retired instructions and then
 // a Measure window; with drain set no retire targets are set and the run
 // lasts until every (bounded) stream has fully retired, which is how the
-// differentials compare whole runs. run returns the finished machine so
-// callers can read more than its Result.
+// differentials compare whole runs. Drain mode and Attach are single-core
+// only. run returns the finished machine so callers can read more than
+// its Result.
 func (r *Runner) run(ctx context.Context, job Job, attempt int, drain bool) (m machine, res *core.Result, simErr *SimError) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -262,8 +263,16 @@ func (r *Runner) run(ctx context.Context, job Job, attempt int, drain bool) (m m
 	}
 	threads := int64(job.Config.Threads)
 	var err error
-	if job.Config.NumCores >= 2 {
-		threads *= int64(job.Config.NumCores)
+	if n := job.Config.NumCores; n >= 2 {
+		// A chip finishes only at its retire targets, and it rebuilds its
+		// cores on thread migration, so there is no stable core to attach.
+		switch {
+		case drain:
+			return m, nil, job.failure(attempt, -1, false, fmt.Errorf("drain mode needs one core, got NumCores=%d", n))
+		case job.Attach != nil:
+			return m, nil, job.failure(attempt, -1, false, fmt.Errorf("Attach needs one core, got NumCores=%d", n))
+		}
+		threads *= int64(n)
 		m.chip, err = chip.New(job.Config, streams)
 	} else {
 		m.core, err = core.New(job.Config, streams)
@@ -278,7 +287,7 @@ func (r *Runner) run(ctx context.Context, job Job, attempt int, drain bool) (m m
 			m.core.SetRetireTargets(job.Warmup, job.Measure)
 		}
 	}
-	if job.Attach != nil && m.core != nil {
+	if job.Attach != nil {
 		job.Attach(m.core)
 	}
 

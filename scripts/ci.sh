@@ -104,15 +104,20 @@ go test -race -count=1 ./internal/serve/ ./internal/store/ ./client/
 # count. Any cross-core state leaking into the step path fails here twice:
 # as a race report and as a fingerprint mismatch. The semantic and
 # scheduler differentials run on the same supervised path and join the
-# runner line.
+# runner line, with the chip job's typed refusals of drain mode and
+# Attach. The harness line pins one cached outcome per job: Prewarm and
+# Run never re-simulate a known deterministic failure.
 go test -race -count=1 -run 'TestParallelMatchesLockstep|TestDeterministicAcrossGOMAXPROCS' ./internal/chip/
-go test -race -count=1 -run 'TestChipDifferential|TestChipDeterministicAcrossWorkers|TestDifferential|TestSchedulerDifferential' ./internal/runner/
+go test -race -count=1 -run 'TestChipDifferential|TestChipDeterministicAcrossWorkers|TestDifferential|TestSchedulerDifferential|TestChipRejectsDrain|TestChipRejectsAttach' ./internal/runner/
+go test -race -count=1 -run 'TestPrewarmSkipsKnownFailures' ./internal/harness/
 # The cycle loop's exact shortcuts join them: the completion calendar
 # against the binary heap it replaced, a slow-memory run through the
 # calendar's overflow chain, non-power-of-two ROB partitions under both
 # schedulers, and the O(1) in-sequence exit against the full walk — each
-# pinned to fingerprints taken before the shortcuts.
-go test -race -count=1 -run 'TestCalendarMatchesHeap|TestSlowMemoryFingerprint|TestNonPowerOfTwoPartitions|TestClassifyEarlyExitMatchesWalk' ./internal/core/
+# pinned to fingerprints taken before the shortcuts. The core event
+# stream joins them: its per-kind counts and hash on one 4-thread mix,
+# and the directed load-to-load forward with the litmus checker over it.
+go test -race -count=1 -run 'TestCalendarMatchesHeap|TestSlowMemoryFingerprint|TestNonPowerOfTwoPartitions|TestClassifyEarlyExitMatchesWalk|TestEventStreamPinned|TestShelfLoadForwardsFromYoungerIQLoad|TestLoadToLoadStreamPassesChecker' ./internal/core/
 
 # shelfd end-to-end smoke: build the server with -race, boot it on an
 # ephemeral port with a temporary persistent store, drive a concurrent
@@ -197,9 +202,12 @@ if ! "$SHELFLITMUS" -n 1000 -seed 1 -preset shelf64-opt -fault-sample 3 \
     [ -s "$LITMUS_MANIFEST" ] && cat "$LITMUS_MANIFEST"
     exit 1
 fi
-# Practical steering rarely coalesces shelf stores, so a second, smaller
-# sweep pins everything to the shelf to keep the coalescing and
-# load-to-load-forwarding axioms exercised against live traffic.
+# Practical steering never shelves a store, so it never coalesces one; a
+# second, smaller sweep pins everything to the shelf to keep the
+# coalescing axioms exercised against live traffic. Neither sweep reaches
+# load-to-load forwarding (all-shelf steering has no IQ loads to forward
+# from); TestShelfLoadForwardsFromYoungerIQLoad and
+# TestLoadToLoadStreamPassesChecker in internal/core cover that path.
 if ! "$SHELFLITMUS" -n 300 -seed 2 -preset shelf64-opt -steer all-shelf \
     -fault-sample 0 -manifest "$LITMUS_MANIFEST"; then
     [ -s "$LITMUS_MANIFEST" ] && cat "$LITMUS_MANIFEST"
