@@ -1,12 +1,15 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Figures 1, 2, 10-14; Tables I, II) on the simulated core.
+// evaluation (Figures 1, 2, 10-14; Tables I, II) on the simulated core, and
+// sweeps one design parameter for design-space curves.
 //
 //	experiments -exp all -insts 8000 -mixes 28
 //	experiments -exp fig10 -insts 20000
+//	experiments -exp sweep -param shelf -values 0,16,32,64,128 -mixes 8 -insts 4000
 //
 // Each experiment prints the same rows/series the paper reports; absolute
 // numbers differ (synthetic workloads on a from-scratch simulator) but the
 // shapes — who wins, by roughly what factor — are the reproduction target.
+// The sweep prints CSV, one row per parameter value.
 package main
 
 import (
@@ -14,6 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/harness"
@@ -22,14 +28,37 @@ import (
 	"shelfsim/internal/runner"
 )
 
+// experiments are the tables and figures -exp all prints, in order.
+var experiments = []struct {
+	name string
+	run  func(*harness.Harness, int) error
+}{
+	{"table1", table1},
+	{"fig1", fig1},
+	{"fig2", fig2},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"table2", table2},
+	{"fig14", fig14},
+}
+
 func main() {
+	names := make([]string, 0, len(experiments)+2)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all", "sweep")
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1,fig2,table1,fig10,fig11,fig12,fig13,table2,fig14,all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(names, ","))
 		insts    = flag.Int64("insts", 8000, "measured instructions per thread")
 		mixes    = flag.Int("mixes", 28, "number of balanced-random mixes (max 28)")
-		thread   = flag.Int("threads", 4, "thread count for the main experiments")
+		thread   = flag.Int("threads", 4, "thread count for the main experiments and the sweep")
 		workers  = flag.Int("workers", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
 		check    = flag.Bool("check", false, "enable the per-cycle microarchitectural invariant checker")
+		param    = flag.String("param", "shelf", "-exp sweep's parameter: shelf, rob, iq, rctbits, plt, interval")
+		values   = flag.String("values", "", "-exp sweep's comma-separated parameter values (empty = the parameter's defaults)")
 		faultCfg = flag.String("faultconfig", "", "inject an invariant violation into runs of this config name (test hook)")
 		faultMix = flag.String("faultmix", "", "confine -faultconfig's fault to this mix name (empty = every mix)")
 		faultCyc = flag.Int64("faultcycle", 1000, "cycle at which -faultconfig's fault fires")
@@ -39,6 +68,21 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	// Usage errors exit 2 before anything is simulated.
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q (want one of %s)\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+	var sweepVals []int64
+	var sweep []config.Config
+	if *exp == "sweep" {
+		var err error
+		if sweepVals, sweep, err = sweepConfigs(*param, *values, *thread); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	stopProfiles, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -62,50 +106,51 @@ func main() {
 		h.FaultKind = kind
 	}
 
-	// The four main configurations dominate the figures; validate them up
-	// front so a bad -threads value fails with a typed field error instead
-	// of a mid-experiment panic.
-	mainConfigs := []config.Config{
-		config.Base64(*thread),
-		config.Shelf64(*thread, false),
-		config.Shelf64(*thread, true),
-		config.Base128(*thread),
+	// The four main configurations dominate the figures, and a sweep runs
+	// only its own points against base64; validate them up front so a bad
+	// -threads value fails with a typed field error instead of a
+	// mid-experiment panic.
+	configs := harness.MainConfigs(*thread)
+	if *exp == "sweep" {
+		configs = append(sweep, config.Base64(*thread))
 	}
-	for i := range mainConfigs {
-		if err := mainConfigs[i].Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: config %s: %v\n", mainConfigs[i].Name, err)
+	for i := range configs {
+		if err := configs[i].Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: config %s: %v\n", configs[i].Name, err)
 			os.Exit(1)
 		}
 	}
 
 	// Warm the run cache in parallel on the worker pool: supervised
 	// failures here are recorded rather than fatal.
-	h.Prewarm(context.Background(), mainConfigs, h.Mixes(*thread))
+	h.Prewarm(context.Background(), configs, h.Mixes(*thread))
 
-	// An experiment error no longer aborts the program: the remaining
+	// An experiment error does not abort the program: the remaining
 	// experiments still run and the failure manifest is emitted at the end.
 	hardErrors := 0
-	run := func(name string, f func(*harness.Harness, int) error) {
-		if *exp != "all" && *exp != name {
-			return
+	if *exp == "sweep" {
+		fmt.Println("param,value,geomean_stp,geomean_stp_improvement,geomean_ipc,shelved_frac")
+		for i, cfg := range sweep {
+			row, err := h.Sweep(cfg)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "experiments: sweep %s=%d: %v\n", *param, sweepVals[i], err)
+				hardErrors++
+				continue
+			}
+			fmt.Printf("%s,%d,%.4f,%.4f,%.4f,%.4f\n", *param, sweepVals[i], row.STP, row.STPImprovement, row.IPC, row.ShelvedFrac)
 		}
-		fmt.Printf("==== %s ====\n", name)
-		if err := f(h, *thread); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+	}
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		fmt.Printf("==== %s ====\n", e.name)
+		if err := e.run(h, *thread); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
 			hardErrors++
 		}
 		fmt.Println()
 	}
-
-	run("table1", table1)
-	run("fig1", fig1)
-	run("fig2", fig2)
-	run("fig10", fig10)
-	run("fig11", fig11)
-	run("fig12", fig12)
-	run("fig13", fig13)
-	run("table2", table2)
-	run("fig14", fig14)
 
 	if failures := h.Failures(); len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d supervised run(s) failed; manifest:\n", len(failures))
@@ -127,6 +172,67 @@ func main() {
 	if hardErrors > 0 {
 		os.Exit(1)
 	}
+}
+
+// sweepDefaults are the values -exp sweep runs when -values is empty; its
+// keys are the parameters a sweep can vary.
+var sweepDefaults = map[string][]int64{
+	"shelf":    {0, 16, 32, 64, 128},
+	"rob":      {32, 64, 96, 128},
+	"iq":       {16, 32, 48, 64},
+	"rctbits":  {3, 4, 5, 6, 8},
+	"plt":      {0, 2, 4, 8},
+	"interval": {100, 1000, 10000},
+}
+
+// sweepConfigs builds and validates one configuration per value of a
+// -exp sweep: the optimistic shelf with param set to the value (the
+// coarse-switching core for interval).
+func sweepConfigs(param, values string, threads int) ([]int64, []config.Config, error) {
+	vals, ok := sweepDefaults[param]
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown -param %q (want shelf, rob, iq, rctbits, plt or interval)", param)
+	}
+	if values != "" {
+		vals = nil
+		for _, p := range strings.Split(values, ",") {
+			v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad -values entry %q: %w", p, err)
+			}
+			vals = append(vals, v)
+		}
+	}
+	cfgs := make([]config.Config, len(vals))
+	for i, v := range vals {
+		cfg := config.Shelf64(threads, true)
+		switch param {
+		case "shelf":
+			cfg.Shelf = int(v)
+			if v == 0 {
+				cfg.Steer = config.SteerAllIQ
+			}
+		case "rob":
+			cfg.ROB = int(v)
+			if cfg.PRF < cfg.ROB {
+				cfg.PRF = cfg.ROB + 64
+			}
+		case "iq":
+			cfg.IQ = int(v)
+		case "rctbits":
+			cfg.RCTBits = uint(v)
+		case "plt":
+			cfg.PLTLoads = int(v)
+		case "interval":
+			cfg = config.Coarse64(threads, v)
+		}
+		cfg.Name = fmt.Sprintf("%s-%d", param, v)
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("%s=%d: %w", param, v, err)
+		}
+		cfgs[i] = cfg
+	}
+	return vals, cfgs, nil
 }
 
 func table1(_ *harness.Harness, threads int) error {

@@ -74,18 +74,18 @@ type Bench struct {
 
 func main() {
 	var (
-		addr    = flag.String("addr", "", "shelfd address (host:port, required)")
-		n       = flag.Int("n", 200, "total requests")
-		conc    = flag.Int("conc", 8, "concurrent clients")
-		hotFrac = flag.Float64("hot", 0.8, "fraction of requests drawn from the hot set")
-		hotSet  = flag.Int("hotset", 4, "distinct requests in the hot set")
-		insts   = flag.Int64("insts", 2000, "measured instructions per request (hot/cold windows derive from it)")
-		preset  = flag.String("preset", "base64", "configuration preset for every request")
-		kernel  = flag.String("kernel", "stream", "kernel for every request (single-thread workloads)")
-		seed    = flag.Int64("seed", 1, "schedule RNG seed")
-		out     = flag.String("out", "", "write the benchmark JSON here (default stdout only)")
-		timeout = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
-		diff    = flag.Bool("differential", false, "re-run one hot request in-process and require fingerprint identity with the served result")
+		addr     = flag.String("addr", "", "shelfd address (host:port, required)")
+		n        = flag.Int("n", 200, "total requests")
+		conc     = flag.Int("conc", 8, "concurrent clients")
+		hotFrac  = flag.Float64("hot", 0.8, "fraction of requests drawn from the hot set")
+		hotSet   = flag.Int("hotset", 4, "distinct requests in the hot set")
+		insts    = flag.Int64("insts", 2000, "measured instructions per request (hot/cold windows derive from it)")
+		preset   = flag.String("preset", "base64", "configuration preset for every request")
+		kernel   = flag.String("kernel", "stream", "kernel for every request (single-thread workloads)")
+		seed     = flag.Int64("seed", 1, "schedule RNG seed")
+		out      = flag.String("out", "", "write the benchmark JSON here (default stdout only)")
+		timeout  = flag.Duration("timeout", 5*time.Minute, "whole-run deadline")
+		diff     = flag.Bool("differential", false, "re-run one hot request in-process and require fingerprint identity with the served result")
 		minHits  = flag.Int64("min-store-hits", -1, "fail unless the run produced at least this many store hits (-1 disables)")
 		minRate  = flag.Float64("min-store-hit-rate", -1, "fail unless the store hit rate reaches this (-1 disables)")
 		warmFrac = flag.Float64("warmup-frac", 0, "exclude this leading fraction of the schedule from the latency percentiles (cold server ramp-up; the requests still count for errors and hit rates)")

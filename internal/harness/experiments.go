@@ -97,41 +97,71 @@ type MixSTP struct {
 // Improvement returns stp/base64 - 1.
 func (m *MixSTP) Improvement(stp float64) float64 { return stp/m.Base64 - 1 }
 
-// Fig10 reproduces Figure 10: STP of the shelf designs and the doubled
-// core over the 4-thread baseline, for every mix.
-func (h *Harness) Fig10(threads int) ([]MixSTP, error) {
-	configs := []config.Config{
+// MainConfigs are the four evaluated designs in the figures' column
+// order: the baseline, the conservative and optimistic shelf, and the
+// doubled core.
+func MainConfigs(threads int) []config.Config {
+	return []config.Config{
 		config.Base64(threads),
 		config.Shelf64(threads, false),
 		config.Shelf64(threads, true),
 		config.Base128(threads),
 	}
-	out := make([]MixSTP, 0, h.MixCount)
+}
+
+// mixRuns is one surviving mix of an STP loop: each configuration's
+// result and STP, in the order the configurations were given.
+type mixRuns struct {
+	mix workload.Mix
+	res []*core.Result
+	stp []float64
+}
+
+// edp is configs[i]'s energy-delay product on this mix.
+func (r mixRuns) edp(configs []config.Config, i int) float64 {
+	return EDPFrom(Power(&configs[i], r.res[i]), r.stp[i])
+}
+
+// stpRuns is the evaluation loop behind Figs. 10, 12, 13 and 14 and the
+// parameter sweep: for each mix it runs every configuration in order and
+// normalises each run to STP. A mix is skipped at its first supervised
+// failure (Run records it); the loop errors only when every mix fails.
+func (h *Harness) stpRuns(fig string, configs []config.Config, threads int) ([]mixRuns, error) {
+	out := make([]mixRuns, 0, h.MixCount)
 mixes:
 	for _, mix := range h.Mixes(threads) {
-		row := MixSTP{Mix: mix}
-		vals := []*float64{&row.Base64, &row.ShelfCons, &row.ShelfOpt, &row.Base128}
+		r := mixRuns{mix: mix, res: make([]*core.Result, len(configs)), stp: make([]float64, len(configs))}
 		for i, cfg := range configs {
 			res, err := h.Run(cfg, mix)
+			if err == nil {
+				r.stp[i], err = h.STP(mix, res)
+			}
 			if Skippable(err) {
 				continue mixes
 			}
 			if err != nil {
 				return nil, err
 			}
-			stp, err := h.STP(mix, res)
-			if Skippable(err) {
-				continue mixes
-			}
-			if err != nil {
-				return nil, err
-			}
-			*vals[i] = stp
+			r.res[i] = res
 		}
-		out = append(out, row)
+		out = append(out, r)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: Fig10 with %d threads: every mix failed", threads)
+		return nil, fmt.Errorf("harness: %s with %d threads: every mix failed", fig, threads)
+	}
+	return out, nil
+}
+
+// Fig10 reproduces Figure 10: STP of the shelf designs and the doubled
+// core over the 4-thread baseline, for every mix.
+func (h *Harness) Fig10(threads int) ([]MixSTP, error) {
+	runs, err := h.stpRuns("Fig10", MainConfigs(threads), threads)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]MixSTP, len(runs))
+	for i, r := range runs {
+		out[i] = MixSTP{Mix: r.mix, Base64: r.stp[0], ShelfCons: r.stp[1], ShelfOpt: r.stp[2], Base128: r.stp[3]}
 	}
 	return out, nil
 }
@@ -212,34 +242,13 @@ func (h *Harness) Fig12(threads int, optimistic bool) ([]MixSteering, error) {
 	oracle.Steer = config.SteerOracle
 	oracle.Name = practical.Name + "-oracle"
 
-	out := make([]MixSteering, 0, h.MixCount)
-mixes:
-	for _, mix := range h.Mixes(threads) {
-		row := MixSteering{Mix: mix}
-		for _, rc := range []struct {
-			cfg config.Config
-			dst *float64
-		}{{base, &row.Base64}, {practical, &row.Practical}, {oracle, &row.Oracle}} {
-			res, err := h.Run(rc.cfg, mix)
-			if Skippable(err) {
-				continue mixes
-			}
-			if err != nil {
-				return nil, err
-			}
-			stp, err := h.STP(mix, res)
-			if Skippable(err) {
-				continue mixes
-			}
-			if err != nil {
-				return nil, err
-			}
-			*rc.dst = stp
-		}
-		out = append(out, row)
+	runs, err := h.stpRuns("Fig12", []config.Config{base, practical, oracle}, threads)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: Fig12 with %d threads: every mix failed", threads)
+	out := make([]MixSteering, len(runs))
+	for i, r := range runs {
+		out[i] = MixSteering{Mix: r.mix, Base64: r.stp[0], Practical: r.stp[1], Oracle: r.stp[2]}
 	}
 	return out, nil
 }
@@ -257,38 +266,20 @@ type MixEDP struct {
 // Fig13 reproduces Figure 13: EDP of each design (reusing Fig10's runs via
 // the cache).
 func (h *Harness) Fig13(threads int) ([]MixEDP, error) {
-	configs := []config.Config{
-		config.Base64(threads),
-		config.Shelf64(threads, false),
-		config.Shelf64(threads, true),
-		config.Base128(threads),
+	configs := MainConfigs(threads)
+	runs, err := h.stpRuns("Fig13", configs, threads)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]MixEDP, 0, h.MixCount)
-mixes:
-	for _, mix := range h.Mixes(threads) {
-		row := MixEDP{Mix: mix}
-		vals := []*float64{&row.Base64, &row.ShelfCons, &row.ShelfOpt, &row.Base128}
-		for i, cfg := range configs {
-			res, err := h.Run(cfg, mix)
-			if Skippable(err) {
-				continue mixes
-			}
-			if err != nil {
-				return nil, err
-			}
-			stp, err := h.STP(mix, res)
-			if Skippable(err) {
-				continue mixes
-			}
-			if err != nil {
-				return nil, err
-			}
-			*vals[i] = EDPFrom(Power(&cfg, res), stp)
+	out := make([]MixEDP, len(runs))
+	for i, r := range runs {
+		out[i] = MixEDP{
+			Mix:       r.mix,
+			Base64:    r.edp(configs, 0),
+			ShelfCons: r.edp(configs, 1),
+			ShelfOpt:  r.edp(configs, 2),
+			Base128:   r.edp(configs, 3),
 		}
-		out = append(out, row)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("harness: Fig13 with %d threads: every mix failed", threads)
 	}
 	return out, nil
 }
@@ -305,31 +296,15 @@ type Fig14Row struct {
 func (h *Harness) Fig14(threadCounts []int, optimistic bool) ([]Fig14Row, error) {
 	out := make([]Fig14Row, 0, len(threadCounts))
 	for _, th := range threadCounts {
-		base := config.Base64(th)
-		shelf := config.Shelf64(th, optimistic)
-		var stpRatios, edpRatios []float64
-	mixes:
-		for _, mix := range h.Mixes(th) {
-			var rb, rs *core.Result
-			var sb, ss float64
-			for _, step := range []func() error{
-				func() (err error) { rb, err = h.Run(base, mix); return },
-				func() (err error) { rs, err = h.Run(shelf, mix); return },
-				func() (err error) { sb, err = h.STP(mix, rb); return },
-				func() (err error) { ss, err = h.STP(mix, rs); return },
-			} {
-				if err := step(); Skippable(err) {
-					continue mixes
-				} else if err != nil {
-					return nil, err
-				}
-			}
-			stpRatios = append(stpRatios, ss/sb)
-			edpRatios = append(edpRatios,
-				EDPFrom(Power(&base, rb), sb)/EDPFrom(Power(&shelf, rs), ss))
+		configs := []config.Config{config.Base64(th), config.Shelf64(th, optimistic)}
+		runs, err := h.stpRuns("Fig14", configs, th)
+		if err != nil {
+			return nil, err
 		}
-		if len(stpRatios) == 0 {
-			return nil, fmt.Errorf("harness: Fig14 with %d threads: every mix failed", th)
+		var stpRatios, edpRatios []float64
+		for _, r := range runs {
+			stpRatios = append(stpRatios, r.stp[1]/r.stp[0])
+			edpRatios = append(edpRatios, r.edp(configs, 0)/r.edp(configs, 1))
 		}
 		gmSTP, err := metrics.GeoMean(stpRatios)
 		if err != nil {
@@ -346,6 +321,47 @@ func (h *Harness) Fig14(threadCounts []int, optimistic bool) ([]Fig14Row, error)
 		})
 	}
 	return out, nil
+}
+
+// SweepRow is one point of a design-space sweep: the swept configuration
+// against base64 at the same thread count, over the mixes that survived.
+type SweepRow struct {
+	STP            float64 // geomean STP
+	STPImprovement float64 // geomean of stp/base64 - 1
+	IPC            float64 // geomean IPC
+	ShelvedFrac    float64 // shelf issues over all issues, pooled over mixes
+}
+
+// Sweep evaluates one design point of a parameter sweep.
+func (h *Harness) Sweep(cfg config.Config) (SweepRow, error) {
+	runs, err := h.stpRuns("sweep of "+cfg.Name, []config.Config{cfg, config.Base64(cfg.Threads)}, cfg.Threads)
+	if err != nil {
+		return SweepRow{}, err
+	}
+	var stps, ratios, ipcs []float64
+	var shelfIssues, issues int64
+	for _, r := range runs {
+		stps = append(stps, r.stp[0])
+		ratios = append(ratios, r.stp[0]/r.stp[1])
+		ipcs = append(ipcs, r.res[0].Stats.IPC())
+		shelfIssues += r.res[0].Stats.ShelfIssues
+		issues += r.res[0].Stats.Issues
+	}
+	var row SweepRow
+	if row.STP, err = metrics.GeoMean(stps); err != nil {
+		return SweepRow{}, err
+	}
+	if row.STPImprovement, err = metrics.GeoMean(ratios); err != nil {
+		return SweepRow{}, err
+	}
+	row.STPImprovement--
+	if row.IPC, err = metrics.GeoMean(ipcs); err != nil {
+		return SweepRow{}, err
+	}
+	if issues > 0 {
+		row.ShelvedFrac = float64(shelfIssues) / float64(issues)
+	}
+	return row, nil
 }
 
 // Table2 reports area increases over the baseline (Table II).

@@ -77,8 +77,9 @@ type Job struct {
 	// attempt, so retries see the workload from the top.
 	Programs []*asm.Program
 	// Streams, when non-nil, overrides the mix-derived instruction streams
-	// (library callers driving custom workloads or recorded traces). It is
-	// not serializable, so network front ends never set it.
+	// (library callers driving custom workloads: litmus tests and the
+	// differentials). It is not serializable, so network front ends never
+	// set it.
 	Streams []isa.Stream
 	Warmup  int64
 	Measure int64

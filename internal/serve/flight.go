@@ -49,11 +49,6 @@ func (s *Server) submit(req shelfsim.Request) (*flight, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rv.Streams != nil {
-		// Unreachable through JSON decoding (Streams never travels over
-		// the wire), but guards embedded in-process use.
-		return nil, errors.New("serve: stream-backed requests are not servable")
-	}
 	key := rv.CacheKey()
 	sh := s.shardFor(key)
 

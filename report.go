@@ -68,9 +68,8 @@ type Report struct {
 	ConfigFingerprint string `json:"config_fingerprint"`
 	// ResultFingerprint hashes every deterministic outcome of the run.
 	ResultFingerprint string `json:"result_fingerprint"`
-	// CacheKey is the run's canonical identity (config fingerprint + mix +
-	// window); empty for stream-backed runs, which have no serializable
-	// workload identity.
+	// CacheKey is the run's canonical identity (config fingerprint +
+	// workload + window).
 	CacheKey string `json:"cache_key,omitempty"`
 
 	Cycles  int64          `json:"cycles"`
@@ -97,9 +96,7 @@ func NewReport(rv Resolved, res Result) Report {
 		L1I:               res.L1I,
 		L1D:               res.L1D,
 		L2:                res.L2,
-	}
-	if rv.Streams == nil {
-		rep.CacheKey = rv.CacheKey()
+		CacheKey:          rv.CacheKey(),
 	}
 	for i := range res.Threads {
 		t := &res.Threads[i]

@@ -3,7 +3,6 @@ package shelfsim
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"shelfsim/internal/asm"
 	"shelfsim/internal/config"
@@ -31,13 +30,10 @@ type SimError = runner.SimError
 // A request names its configuration either by Preset (with optional
 // Overrides) — the wire-friendly path — or by embedding a full Config.
 //
-// The workload is a union: exactly one of Kernels (registry names),
-// Programs (assembly source text) or Streams (caller-provided
-// isa.Streams) describes the per-thread work. Kernels and Programs are
-// wire-servable and have canonical cache identities; Streams is
-// library-only, never travels over the wire, and is deprecated for new
-// callers — write the workload as a program instead, which shelfd can
-// serve and the result store can cache.
+// The workload is a union: exactly one of Kernels (registry names) or
+// Programs (assembly source text) describes the per-thread work. Both
+// travel over the wire and have canonical cache identities; a custom
+// workload is written as a program.
 type Request struct {
 	// Preset names a Table I configuration: "base64", "base128",
 	// "shelf64-opt", "shelf64-cons" or "coarse64". Mutually exclusive with
@@ -50,7 +46,7 @@ type Request struct {
 	Overrides *Overrides `json:"overrides,omitempty"`
 
 	// Threads is the SMT thread count; 0 derives it from the workload
-	// (one thread per kernel, program or stream).
+	// (one thread per kernel or program).
 	Threads int `json:"threads,omitempty"`
 	// Kernels names the workload, one kernel per thread.
 	Kernels []string `json:"kernels,omitempty"`
@@ -60,13 +56,6 @@ type Request struct {
 	// failures to "programs[i]" with the line/column diagnostic as the
 	// cause.
 	Programs []string `json:"programs,omitempty"`
-	// Streams supplies caller-provided instruction streams instead of
-	// kernels (custom workloads, recorded traces). Library-only: it is
-	// excluded from the wire format and has no cache identity.
-	//
-	// Deprecated: new callers should express custom workloads as Programs,
-	// which serve, cache and fingerprint like kernels do.
-	Streams []Stream `json:"-"`
 
 	// Insts is the measured window, in retired instructions per thread.
 	Insts int64 `json:"insts"`
@@ -210,14 +199,13 @@ const defaultCoarseInterval = 1000
 const defaultChipEpoch = 4096
 
 // Resolved is a Request after validation: a concrete configuration, the
-// workload (exactly one of Mix, Programs or Streams populated) and the
-// measurement window.
+// workload (exactly one of Mix or Programs populated) and the measurement
+// window.
 type Resolved struct {
 	Config Config
 	Mix    Mix
 	// Programs is the assembled-program workload, one per thread.
 	Programs []*asm.Program
-	Streams  []Stream
 	Warmup   int64
 	Insts    int64
 }
@@ -246,44 +234,19 @@ const (
 	kindNone workloadKind = iota
 	kindKernels
 	kindPrograms
-	kindStreams
 )
 
-// field names the request field diagnostics for this workload kind should
-// point at (an empty workload is reported against "kernels", the common
-// arm).
-func (k workloadKind) field() string {
-	switch k {
-	case kindPrograms:
-		return "programs"
-	case kindStreams:
-		return "streams"
-	default:
-		return "kernels"
-	}
-}
-
 func (r *Request) workloadKind() (workloadKind, error) {
-	var set []string
-	k := kindNone
-	if len(r.Kernels) > 0 {
-		set = append(set, "kernels")
-		k = kindKernels
+	switch {
+	case len(r.Kernels) > 0 && len(r.Programs) > 0:
+		return kindNone, config.Fielderrf("kernels",
+			"request names more than one workload kind (kernels and programs); they are mutually exclusive")
+	case len(r.Kernels) > 0:
+		return kindKernels, nil
+	case len(r.Programs) > 0:
+		return kindPrograms, nil
 	}
-	if len(r.Programs) > 0 {
-		set = append(set, "programs")
-		k = kindPrograms
-	}
-	if len(r.Streams) > 0 {
-		set = append(set, "streams")
-		k = kindStreams
-	}
-	if len(set) > 1 {
-		return kindNone, config.Fielderrf(set[0],
-			"request names more than one workload kind (%s); kernels, programs and streams are mutually exclusive",
-			strings.Join(set, " and "))
-	}
-	return k, nil
+	return kindNone, nil
 }
 
 // Resolve validates the request and materializes the configuration and
@@ -311,9 +274,13 @@ func (r Request) Resolve() (Resolved, error) {
 	}
 	threads := r.Threads
 	if threads == 0 {
-		total := len(r.Kernels) + len(r.Programs) + len(r.Streams)
+		total := len(r.Kernels) + len(r.Programs)
 		if total%cores != 0 {
-			return rv, config.Fielderrf(kind.field(), "%d workloads do not divide across %d cores", total, cores)
+			field := "kernels"
+			if kind == kindPrograms {
+				field = "programs"
+			}
+			return rv, config.Fielderrf(field, "%d workloads do not divide across %d cores", total, cores)
 		}
 		threads = total / cores
 	}
@@ -358,16 +325,6 @@ func (r Request) Resolve() (Resolved, error) {
 		want *= rv.Config.NumCores
 	}
 	switch kind {
-	case kindStreams:
-		if len(r.Streams) != want {
-			return rv, config.Fielderrf("streams", "%d streams for %d threads", len(r.Streams), want)
-		}
-		for i, s := range r.Streams {
-			if s == nil {
-				return rv, config.Fielderrf("streams", "nil stream for thread %d", i)
-			}
-		}
-		rv.Streams = r.Streams
 	case kindPrograms:
 		if len(r.Programs) != want {
 			return rv, config.Fielderrf("programs", "%d programs for %d threads", len(r.Programs), want)
@@ -395,7 +352,7 @@ func (r Request) Resolve() (Resolved, error) {
 		}
 		rv.Mix = Mix{ID: 0, Kernels: ks}
 	default:
-		return rv, config.Fielderrf("kernels", "request has no workload (no kernels, no programs, no streams)")
+		return rv, config.Fielderrf("kernels", "request has no workload (no kernels, no programs)")
 	}
 
 	if r.Insts <= 0 {
@@ -419,15 +376,11 @@ func (r Request) Resolve() (Resolved, error) {
 
 // CacheKey resolves the request and returns its canonical cache key —
 // identical requests (even after a JSON round trip) produce identical
-// keys. Stream-backed requests have no serializable identity and are
-// rejected.
+// keys.
 func (r Request) CacheKey() (string, error) {
 	rv, err := r.Resolve()
 	if err != nil {
 		return "", err
-	}
-	if rv.Streams != nil {
-		return "", config.Fielderrf("streams", "stream-backed requests have no canonical cache key")
 	}
 	return rv.CacheKey(), nil
 }
@@ -456,7 +409,6 @@ func runResolved(ctx context.Context, rv Resolved) (Result, error) {
 		Config:   rv.Config,
 		Mix:      rv.Mix,
 		Programs: rv.Programs,
-		Streams:  rv.Streams,
 		Warmup:   rv.Warmup,
 		Measure:  rv.Insts,
 	})

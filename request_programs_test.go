@@ -23,10 +23,9 @@ top:
 	blt x2, x3, top
 `
 
-// TestWorkloadUnionExclusive: the three workload arms are mutually
+// TestWorkloadUnionExclusive: the two workload arms are mutually
 // exclusive and the FieldError names the conflicting fields.
 func TestWorkloadUnionExclusive(t *testing.T) {
-	stream := KernelByNameStream(t)
 	cases := []struct {
 		name    string
 		req     Request
@@ -36,15 +35,6 @@ func TestWorkloadUnionExclusive(t *testing.T) {
 		{"kernels+programs",
 			Request{Preset: "base64", Kernels: []string{"stream"}, Programs: []string{testProg}, Insts: 100},
 			"kernels", "kernels and programs"},
-		{"programs+streams",
-			Request{Preset: "base64", Programs: []string{testProg}, Streams: []Stream{stream}, Insts: 100},
-			"programs", "programs and streams"},
-		{"kernels+streams",
-			Request{Preset: "base64", Kernels: []string{"stream"}, Streams: []Stream{stream}, Insts: 100},
-			"kernels", "kernels and streams"},
-		{"all three",
-			Request{Preset: "base64", Kernels: []string{"stream"}, Programs: []string{testProg}, Streams: []Stream{stream}, Insts: 100},
-			"kernels", "kernels and programs and streams"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,16 +51,6 @@ func TestWorkloadUnionExclusive(t *testing.T) {
 			}
 		})
 	}
-}
-
-// KernelByNameStream builds one kernel-backed stream for union tests.
-func KernelByNameStream(t *testing.T) Stream {
-	t.Helper()
-	k, err := KernelByName("stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k.NewStream(1<<32, 1, -1)
 }
 
 // TestProgramRequestErrors: per-program validation failures are typed,

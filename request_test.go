@@ -151,31 +151,6 @@ func TestRunPresetMatchesEmbeddedConfig(t *testing.T) {
 	}
 }
 
-// TestRunStreamsRequest exercises the library-only Streams path.
-func TestRunStreamsRequest(t *testing.T) {
-	k, err := KernelByName("stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Base64(2)
-	streams := []Stream{
-		k.NewStream(1<<32, 1, -1),
-		k.NewStream(2<<32, 2, -1),
-	}
-	res, err := Run(context.Background(), Request{Config: &cfg, Streams: streams, Insts: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Threads) != 2 || res.Threads[0].Retired != 400 {
-		t.Fatalf("unexpected result: %+v", res.Threads)
-	}
-	// Stream-backed requests have no serializable identity.
-	req := Request{Config: &cfg, Streams: streams, Insts: 400}
-	if _, err := req.CacheKey(); err == nil {
-		t.Error("stream-backed request produced a cache key")
-	}
-}
-
 // TestRunContextCancel: an already-cancelled context aborts the run with a
 // structured *SimError instead of hanging.
 func TestRunContextCancel(t *testing.T) {

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# Formatting gate: every tracked Go file must already be gofmt-clean, so
+# formatting drift fails here instead of riding along in later diffs.
+# shellcheck disable=SC2046 # the file list is meant to word-split
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 # Project-specific invariants gate. shelfvet is this repo's go/analysis
 # multichecker (see cmd/shelfvet); any diagnostic fails CI — there is no
 # warn-only mode. The binary is built into a stable path so Go's build
@@ -68,6 +73,12 @@ go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 # or skipped, and must serve only reports that decode, carry the key they
 # are served under and hash to their own filename.
 go test -run '^$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store/
+
+# Report-decoder totality fuzz, same budget, seeded from the golden report
+# and truncations of it: DecodeReport must not panic, every report it
+# accepts carries this build's SchemaVersion, and re-encoding an accepted
+# report is a fixpoint (marshal, decode, marshal gives the same bytes).
+go test -run '^$' -fuzz FuzzDecodeReport -fuzztime 10s .
 
 # Lazy-schedule and reference-emulator race gate, explicitly under -race
 # and repeated: Assemble keeps no schedule, and the first NewStream builds

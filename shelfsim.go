@@ -31,10 +31,6 @@ import (
 // Inst is one dynamic micro-op of a workload stream.
 type Inst = isa.Inst
 
-// Stream supplies a thread's dynamic instruction stream; implement it to
-// drive the simulator from custom workloads or recorded traces.
-type Stream = isa.Stream
-
 // Config is the full simulator configuration; use the preset constructors
 // and adjust fields as needed.
 type Config = config.Config
