@@ -304,8 +304,10 @@ func chipBenchConfig(cores int, lockstep bool) Config {
 	return cfg
 }
 
-// chipBenchKernels tiles the single-core benchmark's kernel mix across
-// cores, so per-core work matches BenchmarkSimulatorThroughput.
+// chipBenchKernels tiles the single-core benchmark's kernel list once per
+// core. Thread t starts on core t % cores, so each core starts with four
+// copies of one kernel (stencil, gups, branchy or matblock), not the
+// single-core mix: per-core work differs from BenchmarkSimulatorThroughput's.
 func chipBenchKernels(cores int) []string {
 	base := []string{"stencil", "gups", "branchy", "matblock"}
 	names := make([]string, 0, 4*cores)
@@ -315,41 +317,39 @@ func chipBenchKernels(cores int) []string {
 	return names
 }
 
-// BenchmarkChipThroughput measures chip-level simulation speed: a 4-core
-// chip (one goroutine per core) over 4x the single-core benchmark's
-// workload. Divided by BenchmarkSimulatorThroughput's insts/s and the
-// available CPUs, it yields the parallel scaling efficiency scripts/ci.sh
-// gates on; with >= 4 CPUs it demonstrates >= 3x single-core throughput.
-func BenchmarkChipThroughput(b *testing.B) {
-	kernels := chipBenchKernels(4)
-	cfg := chipBenchConfig(4, false)
+// pinChipBench is the chip benchmarks' Result fingerprint. Both step modes
+// must produce it, so the scaling gate divides like work by like work.
+const pinChipBench = "eb817d2a4629157b"
+
+// benchChip runs the 4-core chip benchmark request in the given step mode
+// and reports simulated insts/s; it fails on any fingerprint but
+// pinChipBench.
+func benchChip(b *testing.B, lockstep bool) {
+	req := throughputRequest(chipBenchConfig(4, lockstep), chipBenchKernels(4))
 	var retired int64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), throughputRequest(cfg, kernels))
+		res, err := Run(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if fp := res.Fingerprint(); fp != pinChipBench {
+			b.Fatalf("chip fingerprint %s, pinned %s", fp, pinChipBench)
 		}
 		retired += res.Stats.Retired
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkChipThroughput measures chip-level simulation speed on the
+// parallel step path: a 4-core chip, one goroutine per core. Divided by
+// BenchmarkChipThroughputLockstep's insts/s and the available CPUs, it
+// yields the parallel scaling efficiency scripts/ci.sh gates on.
+func BenchmarkChipThroughput(b *testing.B) { benchChip(b, false) }
+
 // BenchmarkChipThroughputLockstep is BenchmarkChipThroughput on the
-// sequential step path; the pair isolates the goroutine-per-core speedup
-// from the chip model's own overhead.
-func BenchmarkChipThroughputLockstep(b *testing.B) {
-	kernels := chipBenchKernels(4)
-	cfg := chipBenchConfig(4, true)
-	var retired int64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), throughputRequest(cfg, kernels))
-		if err != nil {
-			b.Fatal(err)
-		}
-		retired += res.Stats.Retired
-	}
-	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "insts/s")
-}
+// sequential step path: the same simulated work, so the pair isolates the
+// goroutine-per-core speedup.
+func BenchmarkChipThroughputLockstep(b *testing.B) { benchChip(b, true) }
 
 // TestChipParallelSpeedup asserts the tentpole scaling claim — a 4-core
 // chip simulates at >= 3x a single core's throughput — on hosts with

@@ -18,7 +18,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Noglobals,
 		Typedpanic,
-		Nilsafeobs,
 		Fingerprint,
 		Maprange,
 		Walltime,
@@ -58,22 +57,6 @@ func pathIn(pkgPath string, suffixes []string) bool {
 		}
 	}
 	return false
-}
-
-// isPkgNamed reports whether t (after unwrapping pointers) is a named type
-// with the given name declared in a package whose name matches pkgName.
-// Matching by package name rather than full path keeps the checkers
-// testable against fixture packages that mirror the real ones.
-func isPkgNamed(t types.Type, pkgName, typeName string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && obj.Pkg().Name() == pkgName
 }
 
 // errorInterface is the universe error type, for Implements checks.

@@ -110,15 +110,15 @@ type Chip struct {
 	// wg is the reused per-epoch join for the parallel step path.
 	wg sync.WaitGroup
 
-	// collector holds the chip-level gauges (nil unless Config.Telemetry).
-	// The *Acc fields accumulate the closed segments of rebuilt cores so
-	// nothing is lost across migrations; live cores are added at Result.
-	collector *obs.Collector
-	statsAcc  core.Stats
-	l1iAcc    mem.CacheStats
-	l1dAcc    mem.CacheStats
-	l2Acc     mem.CacheStats
-	obsAcc    *obs.Collector
+	// obsAcc holds the chip-level gauges and the telemetry of closed
+	// segments (nil unless Config.Telemetry). The *Acc fields accumulate
+	// the closed segments of rebuilt cores so nothing is lost across
+	// migrations; live cores are added at Result.
+	statsAcc core.Stats
+	l1iAcc   mem.CacheStats
+	l1dAcc   mem.CacheStats
+	l2Acc    mem.CacheStats
+	obsAcc   *obs.Collector
 
 	// allocHash is the FNV-1a log of every epoch's allocation decisions.
 	allocHash uint64
@@ -156,7 +156,6 @@ func New(cfg config.Config, streams []isa.Stream) (*Chip, error) {
 		allocHash: fnvOffset,
 	}
 	if cfg.Telemetry {
-		ch.collector = obs.New()
 		ch.obsAcc = obs.New()
 	}
 	for t, s := range streams {
@@ -271,7 +270,9 @@ func (ch *Chip) Rebalance() {
 	var l2Total uint64
 	for i, s := range ch.slots {
 		retired := s.core.Stats().Retired
-		ch.collector.RecordChipCore(retired-s.epochRetired, int64(len(ch.assign[s.id])))
+		if ch.obsAcc != nil {
+			ch.obsAcc.RecordChipCore(retired-s.epochRetired, int64(len(ch.assign[s.id])))
+		}
 		s.epochRetired = retired
 
 		l2 := s.core.Hierarchy().L2().Stats
@@ -308,7 +309,9 @@ func (ch *Chip) Rebalance() {
 	}
 
 	ch.foldAssignment()
-	ch.collector.RecordChipEpoch(int64(moved))
+	if ch.obsAcc != nil {
+		ch.obsAcc.RecordChipEpoch(int64(moved))
+	}
 }
 
 // foldAssignment hashes the current thread-to-core assignment into the

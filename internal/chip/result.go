@@ -3,7 +3,6 @@ package chip
 import (
 	"shelfsim/internal/core"
 	"shelfsim/internal/metrics"
-	"shelfsim/internal/obs"
 )
 
 // closeSegment folds a core's finished segment into the chip accumulators:
@@ -17,9 +16,7 @@ func (ch *Chip) closeSegment(s *slot) {
 	ch.l1iAcc.Add(s.core.Hierarchy().L1I().Stats)
 	ch.l1dAcc.Add(s.core.Hierarchy().L1D().Stats)
 	ch.l2Acc.Add(s.core.Hierarchy().L2().Stats)
-	if ch.obsAcc != nil {
-		ch.obsAcc.Merge(s.core.Obs())
-	}
+	ch.obsAcc.Merge(s.core.Obs())
 	for li, tid := range ch.assign[s.id] {
 		accThread(ch.threads[tid], s.core.ThreadProgress(li), s.base)
 	}
@@ -72,11 +69,7 @@ func accThread(acc *threadAcc, p core.ThreadProgress, base int64) {
 func (ch *Chip) Result() core.Result {
 	stats := ch.statsAcc
 	l1i, l1d, l2 := ch.l1iAcc, ch.l1dAcc, ch.l2Acc
-	var merged *obs.Collector
-	if ch.obsAcc != nil {
-		merged = ch.obsAcc.Clone()
-		merged.Merge(ch.collector)
-	}
+	merged := ch.obsAcc.Clone()
 
 	accs := make([]threadAcc, len(ch.threads))
 	for i, a := range ch.threads {
@@ -91,9 +84,7 @@ func (ch *Chip) Result() core.Result {
 		l1i.Add(s.core.Hierarchy().L1I().Stats)
 		l1d.Add(s.core.Hierarchy().L1D().Stats)
 		l2.Add(s.core.Hierarchy().L2().Stats)
-		if merged != nil {
-			merged.Merge(s.core.Obs())
-		}
+		merged.Merge(s.core.Obs())
 		if end := s.base + s.core.Cycle(); end > makespan {
 			makespan = end
 		}

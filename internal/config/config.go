@@ -239,11 +239,12 @@ type Config struct {
 	AblateNoRetireCoord bool
 
 	// Telemetry attaches a per-core observability collector (internal/obs)
-	// to the run: steer decisions per op class, scheduling delays, slot
-	// usage, squash causes and stage occupancies, exported via Result.Obs.
-	// It does not alter simulated timing, but it participates in the
-	// fingerprint like every other field, so telemetry-on and telemetry-off
-	// runs cache separately.
+	// to the run as a consumer of the core's event stream: steer decisions
+	// per op class, scheduling delays, slot usage, squash causes and stage
+	// occupancies, exported via Result.Obs. With it off and no observer
+	// set, the core emits no events. It does not alter simulated timing,
+	// but it participates in the fingerprint like every other field, so
+	// telemetry-on and telemetry-off runs cache separately.
 	Telemetry bool
 
 	// CheckInvariants enables the core's per-cycle invariant checker

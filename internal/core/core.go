@@ -84,12 +84,13 @@ type Core struct {
 	// kinds must wait for their target structure to be populated).
 	faultInjected bool
 
-	// obs is this core's telemetry collector (nil unless Config.Telemetry);
-	// observer receives the event stream (SetObserver). Both are owned by
-	// the instance, so concurrently simulated cores share no mutable
+	// tele is this core's telemetry collector (nil unless
+	// Config.Telemetry); sink receives the event stream: the collector,
+	// the SetObserver function, or both (nil when neither). Both are owned
+	// by the instance, so concurrently simulated cores share no mutable
 	// instrumentation state.
-	obs      *obs.Collector
-	observer func(Event)
+	tele *obs.Collector
+	sink func(obs.Event)
 
 	stats Stats
 }
@@ -110,7 +111,8 @@ func New(cfg config.Config, streams []isa.Stream) (*Core, error) {
 		ssets: storesets.New(cfg.StoreSets),
 	}
 	if cfg.Telemetry {
-		c.obs = obs.New()
+		c.tele = obs.New()
+		c.sink = c.tele.Observe
 	}
 	c.numPRIs = cfg.Threads*isa.NumArchRegs + cfg.PRF
 	c.extBase = c.numPRIs
@@ -244,10 +246,9 @@ func (c *Core) Step() {
 	issuesBefore, dispatchBefore := c.stats.Issues, c.stats.Renames
 	c.issue(now)
 	c.dispatch(now)
-	c.obs.RecordSlots(int(c.stats.Renames-dispatchBefore), int(c.stats.Issues-issuesBefore))
 	c.fetch(now)
 
-	c.accumulateOccupancy()
+	c.accumulateOccupancy(now, c.stats.Renames-dispatchBefore, c.stats.Issues-issuesBefore)
 
 	// Fault injection (robustness test hook): deliberately corrupt the
 	// structure named by Config.InjectFaultKind so supervised runners can
@@ -290,11 +291,12 @@ func (c *Core) Run(maxCycles int64) (cycles int64, finished bool) {
 // Obs returns the core's telemetry collector, or nil when Config.Telemetry
 // is off. The collector is owned by this core; read or merge it only after
 // the run completes.
-func (c *Core) Obs() *obs.Collector { return c.obs }
+func (c *Core) Obs() *obs.Collector { return c.tele }
 
 // accumulateOccupancy integrates structure occupancies for the energy
-// model, for reporting, and for the telemetry gauges.
-func (c *Core) accumulateOccupancy() {
+// model and for reporting, and emits the cycle's EvCycle with the slots
+// dispatch and issue used.
+func (c *Core) accumulateOccupancy(now, dispatched, issued int64) {
 	s := &c.stats
 	s.Cycles++
 	iq := int64(len(c.iq))
@@ -315,8 +317,13 @@ func (c *Core) accumulateOccupancy() {
 	s.LQOccupancy += lq
 	s.SQOccupancy += sq
 	s.ShelfOccupancy += shelf
-	c.obs.RecordOccupancy(iq, rob, shelf, lq, sq, prf)
-	c.obs.RecordSched(int64(len(c.readyq)), c.cycleWakeups)
+	if c.sink != nil {
+		c.sink(obs.Event{Kind: obs.EvCycle, Cycle: now, ProviderSeq: -1, Sample: obs.CycleSample{
+			DispatchSlots: int(dispatched), IssueSlots: int(issued),
+			IQ: iq, ROB: rob, Shelf: shelf, LQ: lq, SQ: sq, PRF: prf,
+			Ready: int64(len(c.readyq)), Wakeups: c.cycleWakeups,
+		}})
+	}
 	c.cycleWakeups = 0
 }
 

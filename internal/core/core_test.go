@@ -5,6 +5,7 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 	"shelfsim/internal/workload"
 )
 
@@ -232,8 +233,8 @@ func TestAllShelfIssuesInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(func(ev Event) {
-		if ev.Kind != EvIssue {
+	c.SetObserver(func(ev obs.Event) {
+		if ev.Kind != obs.EvIssue {
 			return
 		}
 		if !ev.ToShelf {

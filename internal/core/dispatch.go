@@ -1,6 +1,9 @@
 package core
 
-import "shelfsim/internal/isa"
+import (
+	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
+)
 
 // dispatch renames and inserts up to Width micro-ops into the window each
 // cycle. Threads are visited round-robin; a thread stalls (head-of-line
@@ -41,7 +44,9 @@ func (c *Core) dispatchOne(t *thread, now int64) bool {
 	if !u.steerDecided {
 		u.toShelf = t.shelfCap > 0 && c.steerer.Steer(c, t, u, now)
 		u.steerDecided = true
-		c.obs.RecordSteer(u.inst.Op, u.toShelf)
+		if c.sink != nil {
+			c.emit(obs.EvSteer, u, now)
+		}
 	}
 
 	// Structural checks for the chosen side.

@@ -155,8 +155,7 @@ func (c *Core) complete(u *uop, now int64) {
 		t.pred.Resolve(u.inst.PC, u.inst.Taken, u.inst.Target, u.mispredict, u.predToken)
 		if u.mispredict {
 			t.mispredicts++
-			c.obs.RecordSquash(obs.SquashMispredict)
-			c.squash(t, u.seq+1, now)
+			c.squash(t, u.seq+1, obs.SquashMispredict, now)
 			if t.fetchBlockedOn == u {
 				// The resolving branch itself was blocking fetch.
 				t.fetchBlockedOn = nil
@@ -189,7 +188,9 @@ func (c *Core) retireShelfOp(t *thread, u *uop, now int64) {
 		} else {
 			c.hier.StoreCommit(u.inst.Addr, now)
 			t.commitStore(u.inst.Addr>>3, now)
-			c.emit(EvStoreCommit, u, now)
+			if c.sink != nil {
+				c.emit(obs.EvStoreCommit, u, now)
+			}
 		}
 	}
 	t.retiredShelf++
@@ -225,8 +226,7 @@ func (c *Core) checkViolations(t *thread, u *uop, now int64) {
 	}
 	t.memViolations++
 	c.ssets.Violation(c.taggedPCOf(t, victim), c.taggedPC(u))
-	c.obs.RecordSquash(obs.SquashMemOrder)
-	c.squash(t, victim.seq, now)
+	c.squash(t, victim.seq, obs.SquashMemOrder, now)
 }
 
 // taggedPC namespaces a PC per thread for the shared store-sets tables,

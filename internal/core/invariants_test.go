@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shelfsim/internal/config"
+	"shelfsim/internal/obs"
 )
 
 // stepUntil advances the core until pred holds, failing after maxCycles.
@@ -53,7 +54,7 @@ func TestSquashStatePanicIsTyped(t *testing.T) {
 
 	u := t0.inflight[len(t0.inflight)-1]
 	u.state = stateFetched // impossible: inflight ops are past fetch
-	inv := recoverInvariant(t, func() { c.squash(t0, u.seq, c.cycle) })
+	inv := recoverInvariant(t, func() { c.squash(t0, u.seq, obs.SquashMispredict, c.cycle) })
 	if inv.Check != "squash-state" {
 		t.Errorf("check = %q, want squash-state", inv.Check)
 	}
@@ -97,7 +98,7 @@ func TestRemoveFromIQMissingPanicIsTyped(t *testing.T) {
 		return q
 	}
 	c.iq = removeFromSlice(c.iq, victim)
-	inv := recoverInvariant(t, func() { c.squash(t0, victim.seq, c.cycle) })
+	inv := recoverInvariant(t, func() { c.squash(t0, victim.seq, obs.SquashMispredict, c.cycle) })
 	if inv.Check != "iq-missing" {
 		t.Errorf("check = %q, want iq-missing", inv.Check)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "shelfsim/internal/isa"
+import (
+	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
+)
 
 // fuState tracks per-cycle functional unit usage for the pipelined
 // classes; unpipelined units (divides) reserve entries of Core.fuBusyUntil.
@@ -327,8 +330,9 @@ func (c *Core) issueOne(u *uop, now int64) {
 		}
 	}
 
-	c.obs.RecordIssue(u.inst.Op, u.toShelf, u.issueCycle-u.dispatchCycle, u.completeCycle-u.issueCycle)
-	c.emit(EvIssue, u, now)
+	if c.sink != nil {
+		c.emit(obs.EvIssue, u, now)
+	}
 	if u.completeCycle <= now {
 		c.fail(u.tid, "event-order", "op %v scheduled to complete at cycle %d, not after %d", u, u.completeCycle, now)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 )
 
 // memmodel_test.go holds directed tests for the memory-model side of the
@@ -17,40 +18,42 @@ import (
 // assert directly on the captured event stream.
 
 // captureEvents attaches a recording observer and returns the event slice.
-func captureEvents(c *Core) *[]Event {
-	events := &[]Event{}
-	c.SetObserver(func(ev Event) { *events = append(*events, ev) })
+func captureEvents(c *Core) *[]obs.Event {
+	events := &[]obs.Event{}
+	c.SetObserver(func(ev obs.Event) { *events = append(*events, ev) })
 	return events
 }
 
 // issues returns the issue events of op-class ops at addr.
-func issues(events []Event, op isa.OpClass, addr uint64) []Event {
-	var out []Event
+func issues(events []obs.Event, op isa.OpClass, addr uint64) []obs.Event {
+	var out []obs.Event
 	for _, ev := range events {
-		if ev.Kind == EvIssue && ev.Op == op && ev.Addr == addr {
+		if ev.Kind == obs.EvIssue && ev.Op == op && ev.Addr == addr {
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-func loadIssues(events []Event, addr uint64) []Event  { return issues(events, isa.OpLoad, addr) }
-func storeIssues(events []Event, addr uint64) []Event { return issues(events, isa.OpStore, addr) }
+func loadIssues(events []obs.Event, addr uint64) []obs.Event { return issues(events, isa.OpLoad, addr) }
+func storeIssues(events []obs.Event, addr uint64) []obs.Event {
+	return issues(events, isa.OpStore, addr)
+}
 
-func commitSeqs(events []Event, addr uint64) map[int64]bool {
+func commitSeqs(events []obs.Event, addr uint64) map[int64]bool {
 	out := map[int64]bool{}
 	for _, ev := range events {
-		if ev.Kind == EvStoreCommit && ev.Addr == addr {
+		if ev.Kind == obs.EvStoreCommit && ev.Addr == addr {
 			out[ev.Seq] = true
 		}
 	}
 	return out
 }
 
-func squashes(events []Event) []Event {
-	var out []Event
+func squashes(events []obs.Event) []obs.Event {
+	var out []obs.Event
 	for _, ev := range events {
-		if ev.Kind == EvSquash {
+		if ev.Kind == obs.EvSquash {
 			out = append(out, ev)
 		}
 	}
@@ -91,7 +94,7 @@ func TestSameCycleStoreLoadForward(t *testing.T) {
 	if st.Cycle != ld.Cycle {
 		t.Fatalf("store issued cycle %d, load cycle %d; want same cycle", st.Cycle, ld.Cycle)
 	}
-	if ld.Source != LoadFromStore || ld.ProviderSeq != st.Seq {
+	if ld.Source != obs.LoadFromStore || ld.ProviderSeq != st.Seq {
 		t.Fatalf("load observed (source=%d provider=%d), want forward from store seq %d",
 			ld.Source, ld.ProviderSeq, st.Seq)
 	}
@@ -139,7 +142,7 @@ func TestForwardAcrossCoalescedPair(t *testing.T) {
 	if len(lds) != 1 {
 		t.Fatalf("got %d load issues, want 1", len(lds))
 	}
-	if ld := lds[0]; ld.Source != LoadFromStore || ld.ProviderSeq != young.Seq {
+	if ld := lds[0]; ld.Source != obs.LoadFromStore || ld.ProviderSeq != young.Seq {
 		t.Fatalf("load observed (source=%d provider=%d), want forward from coalesced store seq %d",
 			ld.Source, ld.ProviderSeq, young.Seq)
 	}
@@ -190,7 +193,7 @@ func TestStoreBufferCoalesce(t *testing.T) {
 	// came from the store buffer, not from an in-window elder entry.
 	var elderRetire int64 = -1
 	for _, ev := range *events {
-		if ev.Kind == EvRetire && ev.Seq == elder.Seq {
+		if ev.Kind == obs.EvRetire && ev.Seq == elder.Seq {
 			elderRetire = ev.Cycle
 		}
 	}
@@ -244,10 +247,10 @@ func TestForwardAfterViolationReplay(t *testing.T) {
 	if len(lds) < 2 {
 		t.Fatalf("got %d load issues, want >= 2 (original + replay)", len(lds))
 	}
-	if first := lds[0]; first.Source != LoadFromCache {
+	if first := lds[0]; first.Source != obs.LoadFromCache {
 		t.Fatalf("first load incarnation source=%d, want cache (it issued before the store)", first.Source)
 	}
-	if final := lds[len(lds)-1]; final.Source != LoadFromStore || final.ProviderSeq != storeSeq {
+	if final := lds[len(lds)-1]; final.Source != obs.LoadFromStore || final.ProviderSeq != storeSeq {
 		t.Fatalf("final load incarnation observed (source=%d provider=%d), want forward from store seq %d",
 			final.Source, final.ProviderSeq, storeSeq)
 	}
@@ -294,7 +297,7 @@ func TestForwardFromSquashedStore(t *testing.T) {
 			len(stsB), len(ldsB))
 	}
 	first := ldsB[0]
-	if first.Source != LoadFromStore || first.ProviderSeq != stsB[0].Seq {
+	if first.Source != obs.LoadFromStore || first.ProviderSeq != stsB[0].Seq {
 		t.Fatalf("first B load observed (source=%d provider=%d), want forward from store seq %d",
 			first.Source, first.ProviderSeq, stsB[0].Seq)
 	}
@@ -309,7 +312,7 @@ func TestForwardFromSquashedStore(t *testing.T) {
 		t.Fatalf("no squash killed provider seq %d after the forward at cycle %d: %+v",
 			first.ProviderSeq, first.Cycle, sq)
 	}
-	if final := ldsB[len(ldsB)-1]; final.Source != LoadFromStore ||
+	if final := ldsB[len(ldsB)-1]; final.Source != obs.LoadFromStore ||
 		final.ProviderSeq != stsB[len(stsB)-1].Seq {
 		t.Fatalf("final B load observed (source=%d provider=%d), want forward from replayed store seq %d",
 			final.Source, final.ProviderSeq, stsB[len(stsB)-1].Seq)
@@ -366,10 +369,10 @@ func TestShelfLoadForwardsFromYoungerIQLoad(t *testing.T) {
 	if young.Seq != 24 || young.ToShelf || elder.Seq != 20 || !elder.ToShelf {
 		t.Fatalf("want IQ load seq 24 to issue before shelf load seq 20, got %+v then %+v", young, elder)
 	}
-	if young.Source != LoadFromCache {
+	if young.Source != obs.LoadFromCache {
 		t.Errorf("IQ load observed source=%d, want the cache", young.Source)
 	}
-	if elder.Source != LoadFromLoad || elder.ProviderSeq != young.Seq {
+	if elder.Source != obs.LoadFromLoad || elder.ProviderSeq != young.Seq {
 		t.Errorf("shelf load observed (source=%d provider=%d), want forward from load seq %d",
 			elder.Source, elder.ProviderSeq, young.Seq)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 	"shelfsim/internal/workload"
 )
 
@@ -145,22 +146,27 @@ type pinEvent struct {
 	tid      int
 	seq      int64
 	cycle    int64
-	source   LoadSource
+	source   obs.LoadSource
 	provider int64
 }
 
 // recordPinEvents feeds fn one pinEvent per core event.
 func recordPinEvents(c *Core, fn func(pinEvent)) {
-	kinds := [...]byte{EvIssue: 'I', EvStoreCommit: 'C', EvRetire: 'R', EvSquash: 'S'}
-	c.SetObserver(func(ev Event) {
+	kinds := [...]byte{obs.EvIssue: 'I', obs.EvStoreCommit: 'C', obs.EvRetire: 'R', obs.EvSquash: 'S',
+		obs.EvSteer: 'T', obs.EvCycle: 'Y'}
+	c.SetObserver(func(ev obs.Event) {
 		fn(pinEvent{kinds[ev.Kind], ev.Tid, ev.Seq, ev.Cycle, ev.Source, ev.ProviderSeq})
 	})
 }
 
 // TestEventStreamPinned pins the core's event stream on one 4-thread
 // shelf64-opt paper mix: the count of each event kind and an FNV-1a hash
-// over every event's (kind, tid, seq, cycle, source, provider) in stream
-// order. Any change to what the stream reports, or when, moves the pin.
+// over every issue, store commit, retire and squash event's (kind, tid,
+// seq, cycle, source, provider) in stream order. Any change to what the
+// stream reports, or when, moves the pin. The run has telemetry on, so
+// the collector shares the stream with the observer: its steer total
+// must equal the steer events, and its cycle count the cycle events and
+// the core's cycles.
 func TestEventStreamPinned(t *testing.T) {
 	const (
 		wantIssues   = 382538
@@ -168,13 +174,17 @@ func TestEventStreamPinned(t *testing.T) {
 		wantRetires  = 382513
 		wantSquashes = 69
 		wantHash     = "b21fddf33311c3f7"
+		wantSteers   = 382576
+		wantCycles   = 111497
 	)
 	mix := workload.PaperMixes(4)[0]
 	streams := make([]isa.Stream, len(mix.Kernels))
 	for i, k := range mix.Kernels {
 		streams[i] = k.NewStream(uint64(i+1)<<32, uint64(i)+1, -1)
 	}
-	c, err := New(config.Shelf64(4, true), streams)
+	cfg := config.Shelf64(4, true)
+	cfg.Telemetry = true
+	c, err := New(cfg, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,9 @@ func TestEventStreamPinned(t *testing.T) {
 	h := fnv.New64a()
 	var buf []byte
 	recordPinEvents(c, func(e pinEvent) {
-		counts[e.kind]++
+		if counts[e.kind]++; e.kind == 'T' || e.kind == 'Y' {
+			return
+		}
 		buf = append(buf[:0], e.kind, byte(e.tid), byte(e.source))
 		for _, v := range []int64{e.seq, e.cycle, e.provider} {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
@@ -201,5 +213,19 @@ func TestEventStreamPinned(t *testing.T) {
 		t.Errorf("event stream moved: got %d/%d/%d/%d %s, pinned %d/%d/%d/%d %s",
 			counts['I'], counts['C'], counts['R'], counts['S'], got,
 			wantIssues, wantCommits, wantRetires, wantSquashes, wantHash)
+	}
+
+	var steers int64
+	for _, side := range c.Obs().Steer {
+		for _, n := range side {
+			steers += n
+		}
+	}
+	if counts['T'] != wantSteers || int64(counts['T']) != steers {
+		t.Errorf("%d steer events, telemetry Steer total %d, pinned %d", counts['T'], steers, wantSteers)
+	}
+	if counts['Y'] != wantCycles || int64(counts['Y']) != c.Cycle() || c.Obs().Cycles != c.Cycle() {
+		t.Errorf("%d cycle events, telemetry %d cycles, core %d cycles, pinned %d",
+			counts['Y'], c.Obs().Cycles, c.Cycle(), wantCycles)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "shelfsim/internal/isa"
+import (
+	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
+)
 
 // retire commits up to Width IQ instructions per cycle from the per-thread
 // ROB heads, in program order per thread, coordinated with out-of-order
@@ -67,7 +70,9 @@ func (c *Core) retireOne(t *thread, now int64) bool {
 		t.sq = popQueueFront(t.sq)
 		c.hier.StoreCommit(u.inst.Addr, now)
 		t.commitStore(u.inst.Addr>>3, now)
-		c.emit(EvStoreCommit, u, now)
+		if c.sink != nil {
+			c.emit(obs.EvStoreCommit, u, now)
+		}
 	case isa.OpLoad:
 		if len(t.lq) == 0 || t.lq[0] != u {
 			c.fail(t.id, "lq-head", "retiring load %v is not the LQ head", u)
@@ -86,7 +91,9 @@ func (c *Core) pruneRetired(t *thread, now int64) {
 		u := t.inflight[i]
 		t.retired++
 		c.stats.Retired++
-		c.emit(EvRetire, u, now)
+		if c.sink != nil {
+			c.emit(obs.EvRetire, u, now)
+		}
 		if u.inSeq {
 			t.retiredInSeq++
 		}

@@ -5,6 +5,7 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 )
 
 // Tests of the shelf-specific mechanisms: run conditions, SSR delays,
@@ -69,8 +70,8 @@ func TestShelfIssueAfterElderIQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetObserver(func(ev Event) {
-		if ev.Kind == EvIssue {
+	c.SetObserver(func(ev obs.Event) {
+		if ev.Kind == obs.EvIssue {
 			issued = append(issued, rec{ev.Seq, ev.ToShelf})
 		}
 	})

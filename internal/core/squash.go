@@ -1,16 +1,20 @@
 package core
 
-import "shelfsim/internal/isa"
+import (
+	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
+)
 
 // squash flushes every instruction of thread t with sequence number >=
-// fromSeq: front-end entries are dropped, window entries are removed with
-// rename state rolled back youngest-first, in-flight executions are marked
-// for writeback filtering, and fetch rewinds to fromSeq.
-func (c *Core) squash(t *thread, fromSeq int64, now int64) {
+// fromSeq for the given cause: front-end entries are dropped, window
+// entries are removed with rename state rolled back youngest-first,
+// in-flight executions are marked for writeback filtering, and fetch
+// rewinds to fromSeq.
+func (c *Core) squash(t *thread, fromSeq int64, cause obs.SquashCause, now int64) {
 	t.squashes++
 	c.stats.Squashes++
-	if c.observer != nil {
-		c.observer(Event{Kind: EvSquash, Tid: t.id, Seq: fromSeq, Cycle: now, ProviderSeq: -1})
+	if c.sink != nil {
+		c.sink(obs.Event{Kind: obs.EvSquash, Tid: t.id, Seq: fromSeq, Cycle: now, Cause: cause, ProviderSeq: -1})
 	}
 
 	// Front end: drop fetched-but-undispatched ops (fetchQ is in order).

@@ -193,7 +193,7 @@ func (c *Core) Result() Result {
 		L1I:     c.hier.L1I().Stats,
 		L1D:     c.hier.L1D().Stats,
 		L2:      c.hier.L2().Stats,
-		Obs:     c.obs.Clone(),
+		Obs:     c.tele.Clone(),
 	}
 	for i, t := range c.threads {
 		tr := ThreadResult{

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"shelfsim/internal/config"
+	"shelfsim/internal/obs"
+	"shelfsim/internal/runner"
 	"shelfsim/internal/workload"
 )
 
@@ -59,6 +62,45 @@ func TestMergedTelemetryCountsRunsOnce(t *testing.T) {
 	if grown.Cycles <= first.Cycles {
 		t.Errorf("second distinct run did not grow the aggregate: %d -> %d",
 			first.Cycles, grown.Cycles)
+	}
+}
+
+// TestTelemetryParallelMergeMatchesSerial prewarms the same
+// telemetry-enabled sweep (two configs over shared mixes) on a 1-worker and
+// a 4-worker pool and asserts the merged collectors are identical:
+// per-core ownership plus a merge after the runs complete makes the
+// aggregate independent of scheduling. Run under -race this is also the
+// regression test for the package-global counters the collectors
+// replaced, which raced exactly here.
+func TestTelemetryParallelMergeMatchesSerial(t *testing.T) {
+	merged := func(workers int) *obs.Collector {
+		h := New(1000, 3)
+		h.Warmup = 200
+		h.Telemetry = true
+		h.Runner = &runner.Runner{Workers: workers}
+		configs := []config.Config{config.Shelf64(2, true), config.Base64(2)}
+		if rep := h.Prewarm(context.Background(), configs, h.Mixes(2)); len(rep.Failures) != 0 {
+			t.Fatalf("%d-worker sweep failed: %v", workers, rep.Failures[0])
+		}
+		return h.MergedTelemetry()
+	}
+	serial, parallel := merged(1), merged(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("parallel merge differs from serial:\n serial   %+v\n parallel %+v", serial, parallel)
+	}
+
+	// Sanity: the runs actually recorded something.
+	if serial.Cycles == 0 {
+		t.Error("no occupancy samples recorded")
+	}
+	var steers int64
+	for s := range serial.Steer {
+		for _, n := range serial.Steer[s] {
+			steers += n
+		}
+	}
+	if steers == 0 {
+		t.Error("no steer decisions recorded")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"shelfsim/internal/core"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 )
 
 // Violation is one axiom breach the checker observed. Axiom names are
@@ -42,7 +43,7 @@ type memRec struct {
 	issueCycle int64
 
 	// Load provenance (stores leave these zero).
-	source core.LoadSource
+	source obs.LoadSource
 	// providerSeq is the forwarding store for LoadFromStore records.
 	providerSeq int64
 	// chainStoreSeq resolves a LoadFromLoad chain to its originating
@@ -127,7 +128,7 @@ func (c *Checker) Violations() []Violation { return c.viols }
 // Stats returns the event counts observed so far.
 func (c *Checker) Stats() CheckerStats { return c.stats }
 
-func (c *Checker) violate(ev core.Event, axiom, format string, args ...any) {
+func (c *Checker) violate(ev obs.Event, axiom, format string, args ...any) {
 	if len(c.viols) >= c.limit {
 		return
 	}
@@ -164,14 +165,17 @@ func (tm *threadModel) youngestElder(line uint64, before int64, inflightOnly boo
 // Observe consumes one core event; only memory ops and squashes carry
 // model state. It must see the complete stream from cycle zero (install
 // the observer before the first Step).
-func (c *Checker) Observe(ev core.Event) {
+func (c *Checker) Observe(ev obs.Event) {
+	if ev.Kind == obs.EvSteer || ev.Kind == obs.EvCycle {
+		return // steering and per-cycle samples carry no model state
+	}
 	if ev.Tid < 0 || ev.Tid >= len(c.threads) {
 		c.violate(ev, "bad-tid", "event names thread %d of %d", ev.Tid, len(c.threads))
 		return
 	}
 	tm := c.threads[ev.Tid]
 	switch {
-	case ev.Kind == core.EvSquash:
+	case ev.Kind == obs.EvSquash:
 		c.stats.Squashes++
 		for _, r := range tm.all {
 			if !r.dead && !r.pruned && r.seq >= ev.Seq {
@@ -180,32 +184,32 @@ func (c *Checker) Observe(ev core.Event) {
 		}
 	case !ev.Op.IsMem():
 		// Non-memory issue and retire events carry no model state.
-	case ev.Kind == core.EvIssue && ev.Op == isa.OpLoad:
+	case ev.Kind == obs.EvIssue && ev.Op == isa.OpLoad:
 		c.stats.Loads++
 		switch ev.Source {
-		case core.LoadFromStore:
+		case obs.LoadFromStore:
 			c.stats.LoadFwdStore++
-		case core.LoadFromLoad:
+		case obs.LoadFromLoad:
 			c.stats.LoadFwdLoad++
 		}
 		c.loadIssue(tm, ev)
-	case ev.Kind == core.EvIssue:
+	case ev.Kind == obs.EvIssue:
 		c.stats.Stores++
 		if ev.Coalesced {
 			c.stats.Coalesced++
 		}
 		c.storeIssue(tm, ev)
-	case ev.Kind == core.EvStoreCommit:
+	case ev.Kind == obs.EvStoreCommit:
 		c.stats.Commits++
 		c.storeCommit(tm, ev)
-	case ev.Kind == core.EvRetire:
+	case ev.Kind == obs.EvRetire:
 		c.stats.Retires++
 		c.retire(tm, ev)
 	}
 }
 
 // newRec installs a fresh incarnation for ev's sequence number.
-func (tm *threadModel) newRec(ev core.Event, store bool) *memRec {
+func (tm *threadModel) newRec(ev obs.Event, store bool) *memRec {
 	r := &memRec{
 		seq: ev.Seq, line: ev.Addr >> 3, store: store, toShelf: ev.ToShelf,
 		coalesced: ev.Coalesced, issueCycle: ev.Cycle,
@@ -239,11 +243,11 @@ func (tm *threadModel) newRec(ev core.Event, store bool) *memRec {
 //     optimization; the provider must be a younger, already-issued IQ load
 //     of the same line, and the chain's originating store (if any) must
 //     not be younger than this load.
-func (c *Checker) loadIssue(tm *threadModel, ev core.Event) {
+func (c *Checker) loadIssue(tm *threadModel, ev obs.Event) {
 	r := tm.newRec(ev, false)
 	r.source = ev.Source
 	switch ev.Source {
-	case core.LoadFromStore:
+	case obs.LoadFromStore:
 		r.providerSeq = ev.ProviderSeq
 		r.chainStoreSeq = ev.ProviderSeq
 		p := tm.recs[ev.ProviderSeq]
@@ -268,7 +272,7 @@ func (c *Checker) loadIssue(tm *threadModel, ev core.Event) {
 			}
 			c.violate(ev, "fwd-youngest", "forwarded from seq=%d but youngest matching elder store is seq=%d", p.seq, ys)
 		}
-	case core.LoadFromLoad:
+	case obs.LoadFromLoad:
 		if !ev.ToShelf {
 			c.violate(ev, "fwd-load", "load-to-load forwarding outside the shelf")
 			return
@@ -296,13 +300,13 @@ func (c *Checker) loadIssue(tm *threadModel, ev core.Event) {
 		// value from the cache or from an elder store — it cannot itself
 		// be load-forwarded (that path is shelf-only).
 		switch m.source {
-		case core.LoadFromStore:
+		case obs.LoadFromStore:
 			if m.providerSeq > ev.Seq {
 				c.violate(ev, "fwd-load-order", "observed store seq=%d younger than this load via load seq=%d", m.providerSeq, m.seq)
 				return
 			}
 			r.chainStoreSeq = m.providerSeq
-		case core.LoadFromCache:
+		case obs.LoadFromCache:
 			r.accessCycle = m.accessCycle
 		default:
 			c.violate(ev, "fwd-load", "load-provider seq=%d is itself load-forwarded", m.seq)
@@ -318,7 +322,7 @@ func (c *Checker) loadIssue(tm *threadModel, ev core.Event) {
 // coalescing axiom: a coalesced shelf store must have had a matching
 // victim — an elder same-line store still in the window, or a same-line
 // commit still inside the store buffer's drain window.
-func (c *Checker) storeIssue(tm *threadModel, ev core.Event) {
+func (c *Checker) storeIssue(tm *threadModel, ev obs.Event) {
 	r := tm.newRec(ev, true)
 	if !ev.Coalesced {
 		return
@@ -341,7 +345,7 @@ func (c *Checker) storeIssue(tm *threadModel, ev core.Event) {
 // hierarchy: squashed stores must never commit, and same-line commits
 // respect program order (an elder uncommitted non-coalesced store still in
 // the window means this commit overtook it).
-func (c *Checker) storeCommit(tm *threadModel, ev core.Event) {
+func (c *Checker) storeCommit(tm *threadModel, ev obs.Event) {
 	r := tm.recs[ev.Seq]
 	if r == nil || !r.store {
 		c.violate(ev, "commit-unknown", "commit for unknown store seq=%d", ev.Seq)
@@ -387,7 +391,7 @@ func (c *Checker) storeCommit(tm *threadModel, ev core.Event) {
 //     hierarchy.
 //   - commit-missing: a store cannot leave the window without either
 //     committing or coalescing into a store that will.
-func (c *Checker) retire(tm *threadModel, ev core.Event) {
+func (c *Checker) retire(tm *threadModel, ev obs.Event) {
 	r := tm.recs[ev.Seq]
 	if r == nil {
 		c.violate(ev, "retire-unknown", "retire for unobserved seq=%d", ev.Seq)

@@ -7,6 +7,7 @@ import (
 
 	"shelfsim/internal/core"
 	"shelfsim/internal/isa"
+	"shelfsim/internal/obs"
 )
 
 // drain pulls up to n instructions from a stream.
@@ -84,50 +85,50 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 // Synthetic-event helpers: the checker is driven directly, without a core.
 
-func loadEv(seq, cycle int64, addr uint64, src core.LoadSource, prov int64, shelf bool) core.Event {
-	return core.Event{Kind: core.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpLoad,
+func loadEv(seq, cycle int64, addr uint64, src obs.LoadSource, prov int64, shelf bool) obs.Event {
+	return obs.Event{Kind: obs.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpLoad,
 		Addr: addr, ToShelf: shelf, Source: src, ProviderSeq: prov}
 }
 
-func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) core.Event {
-	return core.Event{Kind: core.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
+func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) obs.Event {
+	return obs.Event{Kind: obs.EvIssue, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
 		Addr: addr, ToShelf: shelf, Coalesced: coalesced, ProviderSeq: -1}
 }
 
-func commitEv(seq, cycle int64, addr uint64) core.Event {
-	return core.Event{Kind: core.EvStoreCommit, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
+func commitEv(seq, cycle int64, addr uint64) obs.Event {
+	return obs.Event{Kind: obs.EvStoreCommit, Tid: 0, Seq: seq, Cycle: cycle, Op: isa.OpStore,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func retireEv(op isa.OpClass, seq, cycle int64, addr uint64) core.Event {
-	return core.Event{Kind: core.EvRetire, Tid: 0, Seq: seq, Cycle: cycle, Op: op,
+func retireEv(op isa.OpClass, seq, cycle int64, addr uint64) obs.Event {
+	return obs.Event{Kind: obs.EvRetire, Tid: 0, Seq: seq, Cycle: cycle, Op: op,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func retireLoad(seq, cycle int64, addr uint64) core.Event {
+func retireLoad(seq, cycle int64, addr uint64) obs.Event {
 	return retireEv(isa.OpLoad, seq, cycle, addr)
 }
 
-func retireStore(seq, cycle int64, addr uint64) core.Event {
+func retireStore(seq, cycle int64, addr uint64) obs.Event {
 	return retireEv(isa.OpStore, seq, cycle, addr)
 }
 
-func squashEv(fromSeq, cycle int64) core.Event {
-	return core.Event{Kind: core.EvSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
+func squashEv(fromSeq, cycle int64) obs.Event {
+	return obs.Event{Kind: obs.EvSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
 }
 
 const lineA = uint64(0x1000)
 
 func TestCheckerCleanSequence(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.Event{
+	for _, ev := range []obs.Event{
 		storeEv(1, 2, lineA, false, false),
-		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
+		loadEv(2, 3, lineA, obs.LoadFromStore, 1, false),
 		commitEv(1, 10, lineA),
 		retireStore(1, 10, lineA),
 		retireLoad(2, 10, lineA),
 		// Non-memory ops carry no model state: counted nowhere.
-		{Kind: core.EvIssue, Seq: 3, Cycle: 10, Op: isa.OpIntAlu, ProviderSeq: -1},
+		{Kind: obs.EvIssue, Seq: 3, Cycle: 10, Op: isa.OpIntAlu, ProviderSeq: -1},
 		retireEv(isa.OpIntAlu, 3, 11, 0),
 	} {
 		ch.Observe(ev)
@@ -145,34 +146,34 @@ func TestCheckerAxioms(t *testing.T) {
 	cases := []struct {
 		name  string
 		axiom string
-		evs   []core.Event
+		evs   []obs.Event
 	}{
 		{
 			name:  "forward from unknown provider",
 			axiom: "fwd-provider",
-			evs:   []core.Event{loadEv(2, 3, lineA, core.LoadFromStore, 99, false)},
+			evs:   []obs.Event{loadEv(2, 3, lineA, obs.LoadFromStore, 99, false)},
 		},
 		{
 			name:  "forward skips the youngest matching store",
 			axiom: "fwd-youngest",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
-				loadEv(3, 4, lineA, core.LoadFromStore, 1, false),
+				loadEv(3, 4, lineA, obs.LoadFromStore, 1, false),
 			},
 		},
 		{
 			name:  "cache load ignores a live elder store",
 			axiom: "stale-load",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
-				loadEv(2, 4, lineA, core.LoadFromCache, -1, false),
+				loadEv(2, 4, lineA, obs.LoadFromCache, -1, false),
 			},
 		},
 		{
 			name:  "squashed store writes the cache",
 			axiom: "squashed-visible",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				squashEv(1, 3),
 				commitEv(1, 5, lineA),
@@ -181,7 +182,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "younger store commits before elder",
 			axiom: "commit-order",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(2, 5, lineA),
@@ -190,7 +191,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "program-order retire goes backwards",
 			axiom: "retire-order",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(1, 5, lineA),
@@ -202,8 +203,8 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "squashed op retires",
 			axiom: "squashed-visible",
-			evs: []core.Event{
-				loadEv(2, 3, lineA, core.LoadFromCache, -1, false),
+			evs: []obs.Event{
+				loadEv(2, 3, lineA, obs.LoadFromCache, -1, false),
 				squashEv(2, 4),
 				retireLoad(2, 5, lineA),
 			},
@@ -211,34 +212,34 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "retire of an unobserved op",
 			axiom: "retire-unknown",
-			evs:   []core.Event{retireLoad(42, 5, lineA)},
+			evs:   []obs.Event{retireLoad(42, 5, lineA)},
 		},
 		{
 			name:  "load-to-load forwarding outside the shelf",
 			axiom: "fwd-load",
-			evs: []core.Event{
-				loadEv(5, 3, lineA, core.LoadFromCache, -1, false),
-				loadEv(2, 4, lineA, core.LoadFromLoad, 5, false),
+			evs: []obs.Event{
+				loadEv(5, 3, lineA, obs.LoadFromCache, -1, false),
+				loadEv(2, 4, lineA, obs.LoadFromLoad, 5, false),
 			},
 		},
 		{
 			name:  "load chain observes a younger store",
 			axiom: "fwd-load-order",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(3, 2, lineA, false, false),
-				loadEv(5, 3, lineA, core.LoadFromStore, 3, false),
-				loadEv(2, 4, lineA, core.LoadFromLoad, 5, true),
+				loadEv(5, 3, lineA, obs.LoadFromStore, 3, false),
+				loadEv(2, 4, lineA, obs.LoadFromLoad, 5, true),
 			},
 		},
 		{
 			name:  "coalesced store without a victim",
 			axiom: "coalesce-source",
-			evs:   []core.Event{storeEv(1, 2, lineA, true, true)},
+			evs:   []obs.Event{storeEv(1, 2, lineA, true, true)},
 		},
 		{
 			name:  "store retires without committing",
 			axiom: "commit-missing",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				retireStore(1, 5, lineA),
 			},
@@ -246,20 +247,20 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "load read the cache before its elder store committed",
 			axiom: "stale-final",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
 				commitEv(1, 9, lineA),
 				retireStore(1, 9, lineA),
-				loadEv(2, 5, lineA, core.LoadFromCache, -1, false),
+				loadEv(2, 5, lineA, obs.LoadFromCache, -1, false),
 				retireLoad(2, 12, lineA),
 			},
 		},
 		{
 			name:  "forwarded load retires with a stale provider",
 			axiom: "fwd-final",
-			evs: []core.Event{
+			evs: []obs.Event{
 				storeEv(1, 2, lineA, false, false),
-				loadEv(3, 3, lineA, core.LoadFromStore, 1, false),
+				loadEv(3, 3, lineA, obs.LoadFromStore, 1, false),
 				storeEv(2, 4, lineA, false, false),
 				commitEv(1, 6, lineA),
 				commitEv(2, 7, lineA),
@@ -333,11 +334,11 @@ func TestCheckerCoalesceVictims(t *testing.T) {
 // re-issues with the same sequence number and retires cleanly.
 func TestCheckerSquashReplay(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.Event{
+	for _, ev := range []obs.Event{
 		storeEv(1, 2, lineA, false, false),
-		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
+		loadEv(2, 3, lineA, obs.LoadFromStore, 1, false),
 		squashEv(2, 4),
-		loadEv(2, 6, lineA, core.LoadFromStore, 1, false), // replay
+		loadEv(2, 6, lineA, obs.LoadFromStore, 1, false), // replay
 		commitEv(1, 8, lineA),
 		retireStore(1, 8, lineA),
 		retireLoad(2, 9, lineA),

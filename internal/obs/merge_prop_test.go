@@ -8,30 +8,30 @@ import (
 	"shelfsim/internal/isa"
 )
 
-// randomCollector fills a collector through the public recording API with
-// rng-driven values, exercising every counter family including the chip
-// gauges.
+// randomCollector fills a collector through Observe and the chip
+// recorders with rng-driven values, exercising every counter family
+// including the chip gauges.
 func randomCollector(rng *rand.Rand) *Collector {
 	c := New()
 	for i, n := 0, 20+rng.Intn(40); i < n; i++ {
 		op := isa.OpClass(rng.Intn(int(isa.NumOpClasses)))
-		switch rng.Intn(8) {
+		switch rng.Intn(6) {
 		case 0:
-			c.RecordSteer(op, rng.Intn(2) == 0)
+			c.Observe(steerEv(op, rng.Intn(2) == 0))
 		case 1:
-			c.RecordIssue(op, rng.Intn(2) == 0, rng.Int63n(50), rng.Int63n(200))
+			c.Observe(issueEv(op, rng.Intn(2) == 0, rng.Int63n(50), rng.Int63n(200)))
 		case 2:
-			c.RecordSlots(rng.Intn(9), rng.Intn(9))
+			c.Observe(cycleEv(CycleSample{
+				DispatchSlots: rng.Intn(9), IssueSlots: rng.Intn(9),
+				IQ: rng.Int63n(64), ROB: rng.Int63n(256), Shelf: rng.Int63n(64),
+				LQ: rng.Int63n(64), SQ: rng.Int63n(64), PRF: rng.Int63n(200),
+				Ready: rng.Int63n(32), Wakeups: rng.Int63n(32),
+			}))
 		case 3:
-			c.RecordSquash(SquashCause(rng.Intn(int(NumSquashCauses))))
+			c.Observe(squashEv(SquashCause(rng.Intn(int(NumSquashCauses)))))
 		case 4:
-			c.RecordOccupancy(rng.Int63n(64), rng.Int63n(256), rng.Int63n(64),
-				rng.Int63n(64), rng.Int63n(64), rng.Int63n(200))
-		case 5:
-			c.RecordSched(rng.Int63n(32), rng.Int63n(32))
-		case 6:
 			c.RecordChipEpoch(rng.Int63n(4))
-		case 7:
+		case 5:
 			c.RecordChipCore(rng.Int63n(10000), 1+rng.Int63n(4))
 		}
 	}

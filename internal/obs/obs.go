@@ -1,15 +1,13 @@
-// Package obs is the simulator's per-core observability layer: an
-// allocation-light telemetry collector owned by each core instance
-// (replacing the racy package-global debug counters the simulator grew up
-// with). A Collector accumulates steer decisions per op class, issue and
+// Package obs is the simulator's observability layer: the vocabulary of
+// the core's event stream (Event, EventKind) and an allocation-light
+// telemetry Collector that consumes it. Each core instance owns its
+// collector (replacing the racy package-global debug counters the
+// simulator grew up with) and feeds it every event through Observe. A
+// Collector accumulates steer decisions per op class, issue and
 // completion delays, per-cycle dispatch/issue slot histograms, squash
 // causes, and stage-occupancy gauges. Collectors from independent runs are
 // combined race-free with Merge after their runs complete, and export as
 // JSON or CSV for reading a sweep.
-//
-// All Record* methods are safe on a nil *Collector and compile to a single
-// branch in that case, so the simulator's hot path pays nothing when
-// telemetry is disabled.
 package obs
 
 import (
@@ -152,9 +150,6 @@ type Collector struct {
 // New returns an empty collector.
 func New() *Collector { return &Collector{} }
 
-// Enabled reports whether the collector records anything (nil = disabled).
-func (c *Collector) Enabled() bool { return c != nil }
-
 func side(toShelf bool) int {
 	if toShelf {
 		return SideShelf
@@ -162,33 +157,33 @@ func side(toShelf bool) int {
 	return SideIQ
 }
 
-// RecordSteer counts one dispatch steering decision.
-func (c *Collector) RecordSteer(op isa.OpClass, toShelf bool) {
-	if c == nil {
-		return
+// Observe folds one core event into the telemetry. Kinds the collector
+// does not count (store commits, retirements) are ignored.
+func (c *Collector) Observe(ev Event) {
+	switch ev.Kind {
+	case EvSteer:
+		c.Steer[side(ev.ToShelf)][ev.Op]++
+	case EvIssue:
+		d := &c.Delays[side(ev.ToShelf)][ev.Op]
+		d.IssueDelaySum += ev.Cycle - ev.DispatchCycle
+		d.CompleteDelaySum += ev.CompleteCycle - ev.Cycle
+		d.Count++
+	case EvSquash:
+		c.Squashes[ev.Cause]++
+	case EvCycle:
+		s := &ev.Sample
+		c.DispatchSlots[clampSlot(s.DispatchSlots)]++
+		c.IssueSlots[clampSlot(s.IssueSlots)]++
+		c.Cycles++
+		c.IQ.Observe(s.IQ)
+		c.ROB.Observe(s.ROB)
+		c.Shelf.Observe(s.Shelf)
+		c.LQ.Observe(s.LQ)
+		c.SQ.Observe(s.SQ)
+		c.PRF.Observe(s.PRF)
+		c.Ready.Observe(s.Ready)
+		c.Wakeups.Observe(s.Wakeups)
 	}
-	c.Steer[side(toShelf)][op]++
-}
-
-// RecordIssue accumulates one instruction's scheduling delays: issueDelay
-// is dispatch-to-issue, completeDelay is issue-to-completion.
-func (c *Collector) RecordIssue(op isa.OpClass, toShelf bool, issueDelay, completeDelay int64) {
-	if c == nil {
-		return
-	}
-	d := &c.Delays[side(toShelf)][op]
-	d.IssueDelaySum += issueDelay
-	d.CompleteDelaySum += completeDelay
-	d.Count++
-}
-
-// RecordSlots histograms one cycle's dispatch and issue slot usage.
-func (c *Collector) RecordSlots(dispatch, issue int) {
-	if c == nil {
-		return
-	}
-	c.DispatchSlots[clampSlot(dispatch)]++
-	c.IssueSlots[clampSlot(issue)]++
 }
 
 func clampSlot(n int) int {
@@ -201,44 +196,9 @@ func clampSlot(n int) int {
 	return n
 }
 
-// RecordSquash counts one pipeline flush.
-func (c *Collector) RecordSquash(cause SquashCause) {
-	if c == nil {
-		return
-	}
-	c.Squashes[cause]++
-}
-
-// RecordOccupancy samples the stage occupancies for one cycle.
-func (c *Collector) RecordOccupancy(iq, rob, shelf, lq, sq, prf int64) {
-	if c == nil {
-		return
-	}
-	c.Cycles++
-	c.IQ.Observe(iq)
-	c.ROB.Observe(rob)
-	c.Shelf.Observe(shelf)
-	c.LQ.Observe(lq)
-	c.SQ.Observe(sq)
-	c.PRF.Observe(prf)
-}
-
-// RecordSched samples the scheduler's ready-set occupancy and the cycle's
-// delivered wakeups.
-func (c *Collector) RecordSched(ready, wakeups int64) {
-	if c == nil {
-		return
-	}
-	c.Ready.Observe(ready)
-	c.Wakeups.Observe(wakeups)
-}
-
 // RecordChipEpoch counts one chip allocation epoch and the thread
 // migrations it decided.
 func (c *Collector) RecordChipEpoch(moved int64) {
-	if c == nil {
-		return
-	}
 	c.ChipEpochs++
 	c.ChipMigrations += moved
 	c.ChipMoved.Observe(moved)
@@ -247,9 +207,6 @@ func (c *Collector) RecordChipEpoch(moved int64) {
 // RecordChipCore samples one core's per-epoch view: the instructions it
 // retired over the epoch and the threads resident on it.
 func (c *Collector) RecordChipCore(retired, threads int64) {
-	if c == nil {
-		return
-	}
 	c.ChipCoreRetired.Observe(retired)
 	c.ChipCoreThreads.Observe(threads)
 }

@@ -13,37 +13,59 @@ import (
 	"shelfsim/internal/isa"
 )
 
-// sample builds a collector with a little of everything recorded.
+// Synthesized core events, one constructor per kind the collector counts.
+
+func steerEv(op isa.OpClass, toShelf bool) Event {
+	return Event{Kind: EvSteer, Op: op, ToShelf: toShelf}
+}
+
+// issueEv is an op issued at cycle 100 that waited issueDelay cycles since
+// dispatch and completes completeDelay cycles after issue.
+func issueEv(op isa.OpClass, toShelf bool, issueDelay, completeDelay int64) Event {
+	return Event{Kind: EvIssue, Op: op, ToShelf: toShelf, Cycle: 100,
+		DispatchCycle: 100 - issueDelay, CompleteCycle: 100 + completeDelay}
+}
+
+func squashEv(cause SquashCause) Event { return Event{Kind: EvSquash, Cause: cause} }
+
+func cycleEv(s CycleSample) Event { return Event{Kind: EvCycle, Sample: s} }
+
+// sample builds a collector with a little of everything observed.
 func sample() *Collector {
 	c := New()
-	c.RecordSteer(isa.OpLoad, true)
-	c.RecordSteer(isa.OpLoad, true)
-	c.RecordSteer(isa.OpLoad, false)
-	c.RecordSteer(isa.OpBranch, false)
-	c.RecordIssue(isa.OpLoad, true, 3, 7)
-	c.RecordIssue(isa.OpLoad, true, 5, 9)
-	c.RecordIssue(isa.OpBranch, false, 1, 1)
-	c.RecordSlots(2, 4)
-	c.RecordSlots(0, 0)
-	c.RecordSquash(SquashMispredict)
-	c.RecordSquash(SquashMemOrder)
-	c.RecordSquash(SquashMemOrder)
-	c.RecordOccupancy(10, 40, 8, 6, 4, 70)
-	c.RecordOccupancy(20, 60, 0, 2, 2, 90)
+	for _, ev := range []Event{
+		steerEv(isa.OpLoad, true),
+		steerEv(isa.OpLoad, true),
+		steerEv(isa.OpLoad, false),
+		steerEv(isa.OpBranch, false),
+		issueEv(isa.OpLoad, true, 3, 7),
+		issueEv(isa.OpLoad, true, 5, 9),
+		issueEv(isa.OpBranch, false, 1, 1),
+		squashEv(SquashMispredict),
+		squashEv(SquashMemOrder),
+		squashEv(SquashMemOrder),
+		cycleEv(CycleSample{DispatchSlots: 2, IssueSlots: 4, IQ: 10, ROB: 40, Shelf: 8, LQ: 6, SQ: 4, PRF: 70, Ready: 3, Wakeups: 5}),
+		cycleEv(CycleSample{IQ: 20, ROB: 60, LQ: 2, SQ: 2, PRF: 90, Ready: 1}),
+	} {
+		c.Observe(ev)
+	}
 	return c
+}
+
+// TestObserveIgnoresUncountedKinds: store commits and retirements reach
+// the collector on the shared stream but change nothing.
+func TestObserveIgnoresUncountedKinds(t *testing.T) {
+	c := sample()
+	c.Observe(Event{Kind: EvStoreCommit, Op: isa.OpStore, Cycle: 7})
+	c.Observe(Event{Kind: EvRetire, Op: isa.OpLoad, ToShelf: true, Cycle: 8})
+	if !reflect.DeepEqual(c, sample()) {
+		t.Errorf("store commit or retire changed the collector: %+v", c)
+	}
 }
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	if c.Enabled() {
-		t.Fatal("nil collector reports Enabled")
-	}
 	// None of these may panic.
-	c.RecordSteer(isa.OpLoad, true)
-	c.RecordIssue(isa.OpLoad, false, 1, 2)
-	c.RecordSlots(3, 3)
-	c.RecordSquash(SquashMispredict)
-	c.RecordOccupancy(1, 2, 3, 4, 5, 6)
 	c.Merge(sample())
 	sample().Merge(c)
 	if got := c.Clone(); got != nil {
@@ -90,12 +112,15 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if s.DispatchSlots[0] != 1 || s.DispatchSlots[2] != 1 || s.IssueSlots[4] != 1 {
 		t.Errorf("slot histograms: dispatch %v issue %v", s.DispatchSlots, s.IssueSlots)
 	}
+	if r, w := s.Occupancy["ready"], s.Occupancy["wakeups"]; r.Mean != 2 || r.Max != 3 || w.Mean != 2.5 || w.Max != 5 {
+		t.Errorf("scheduler gauges: ready %+v wakeups %+v", r, w)
+	}
 }
 
 func TestMergeEqualsSum(t *testing.T) {
 	a, b := sample(), sample()
-	b.RecordSteer(isa.OpStore, false)
-	b.RecordOccupancy(100, 1, 1, 1, 1, 1)
+	b.Observe(steerEv(isa.OpStore, false))
+	b.Observe(cycleEv(CycleSample{IQ: 100, ROB: 1, Shelf: 1, LQ: 1, SQ: 1, PRF: 1}))
 
 	merged := a.Clone()
 	merged.Merge(b)
@@ -127,7 +152,7 @@ func TestMergeEqualsSum(t *testing.T) {
 func TestCloneIsIndependent(t *testing.T) {
 	a := sample()
 	b := a.Clone()
-	b.RecordSteer(isa.OpLoad, true)
+	b.Observe(steerEv(isa.OpLoad, true))
 	if a.Steer[SideShelf][isa.OpLoad] == b.Steer[SideShelf][isa.OpLoad] {
 		t.Error("clone shares state with original")
 	}
@@ -135,7 +160,7 @@ func TestCloneIsIndependent(t *testing.T) {
 
 func TestSlotClamping(t *testing.T) {
 	c := New()
-	c.RecordSlots(-3, NumSlots+100)
+	c.Observe(cycleEv(CycleSample{DispatchSlots: -3, IssueSlots: NumSlots + 100}))
 	if c.DispatchSlots[0] != 1 {
 		t.Errorf("negative dispatch not clamped to 0: %v", c.DispatchSlots)
 	}
@@ -205,8 +230,7 @@ func TestWriteFilePicksFormat(t *testing.T) {
 }
 
 // TestMergeNilIdentityAndNoMutation pins the nil contract's semantics, not
-// just its memory safety (the runtime counterpart of the shelfvet
-// nilsafeobs analyzer): merging a nil collector is the identity, and
+// just its memory safety: merging a nil collector is the identity, and
 // merging into a nil receiver neither materializes a collector nor mutates
 // the argument.
 func TestMergeNilIdentityAndNoMutation(t *testing.T) {

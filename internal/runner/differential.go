@@ -6,6 +6,7 @@ import (
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/core"
+	"shelfsim/internal/obs"
 	"shelfsim/internal/workload"
 )
 
@@ -126,8 +127,8 @@ func (r *Runner) runRecorded(ctx context.Context, job Job) ([]int64, error) {
 	next := make([]int64, job.Config.Threads)
 	var orderErr error
 	job.Attach = func(c *core.Core) {
-		c.SetObserver(func(ev core.Event) {
-			if ev.Kind != core.EvRetire {
+		c.SetObserver(func(ev obs.Event) {
+			if ev.Kind != obs.EvRetire {
 				return
 			}
 			if orderErr == nil && ev.Seq != next[ev.Tid] {

@@ -1,93 +1,86 @@
 package runner
 
 import (
+	"bytes"
 	"context"
-	"reflect"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"shelfsim/internal/config"
+	"shelfsim/internal/core"
 	"shelfsim/internal/obs"
+	"shelfsim/internal/workload"
 )
 
-// telemetryJobs builds a small overlapping sweep (two configs over shared
-// mixes) with telemetry enabled on every job.
-func telemetryJobs() []Job {
-	configs := []config.Config{config.Shelf64(2, true), config.Base64(2)}
-	var jobs []Job
-	for _, cfg := range configs {
-		cfg.Telemetry = true
-		for _, mix := range testMixes(2, 3) {
-			jobs = append(jobs, Job{Config: cfg, Mix: mix, Warmup: 200, Measure: 1000})
-		}
+// telemetryHash executes job and returns an FNV-1a hash over its
+// telemetry's JSON export followed by its CSV export, with the result.
+func telemetryHash(t *testing.T, job Job) (string, *core.Result) {
+	t.Helper()
+	res, simErr := (&Runner{}).Execute(context.Background(), job)
+	if simErr != nil {
+		t.Fatal(simErr)
 	}
-	return jobs
+	var buf bytes.Buffer
+	if err := res.Obs.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Obs.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	return fmt.Sprintf("%016x", h.Sum64()), res
 }
 
-// TestTelemetryParallelMergeMatchesSerial runs the same telemetry-enabled
-// jobs serially and on a multi-worker pool and asserts the merged collectors
-// are identical: per-core ownership plus a post-drain merge makes the
-// aggregate independent of scheduling. Run under -race this is also the
-// regression test for the package-global counters this layer replaced,
-// which raced exactly here.
-func TestTelemetryParallelMergeMatchesSerial(t *testing.T) {
-	jobs := telemetryJobs()
-
-	serialRunner := &Runner{Workers: 1}
-	serial := obs.New()
-	for _, job := range jobs {
-		res, simErr := serialRunner.Execute(context.Background(), job)
-		if simErr != nil {
-			t.Fatalf("serial run %s/%s: %v", job.Config.Name, job.Mix.Name(), simErr)
-		}
-		if res.Obs == nil {
-			t.Fatalf("serial run %s/%s returned no telemetry", job.Config.Name, job.Mix.Name())
-		}
-		serial.Merge(res.Obs)
+// TestTelemetryPinned pins the exported telemetry bytes of three runs on
+// mix00: a 4-thread shelf64-opt core; a 2-core ICOUNT chip whose threads
+// migrate, so the chip's closed-segment merge is covered; and the first
+// run again with an event-stream observer attached, which must not change
+// what the collector sees. The pins predate the collector reading the
+// core's event stream.
+func TestTelemetryPinned(t *testing.T) {
+	const (
+		pinCore = "413d7f90f63d6bbb"
+		pinChip = "2eff7980dc80b641"
+	)
+	mix := workload.PaperMixes(4)[0]
+	cfg := config.Shelf64(4, true)
+	cfg.Telemetry = true
+	job := Job{Config: cfg, Mix: mix, Warmup: 500, Measure: 1500}
+	if got, _ := telemetryHash(t, job); got != pinCore {
+		t.Errorf("core telemetry hash %s, pinned %s", got, pinCore)
 	}
 
-	parallelRunner := &Runner{Workers: 4}
-	rep := parallelRunner.RunAll(context.Background(), jobs)
-	if len(rep.Failures) != 0 {
-		t.Fatalf("parallel sweep failed: %v", rep.Failures[0])
+	chipCfg := chipTestCfg()
+	chipCfg.Telemetry = true
+	got, res := telemetryHash(t, Job{Config: chipCfg, Mix: mix, Warmup: 500, Measure: 1500})
+	if res.Obs.ChipMigrations == 0 {
+		t.Error("chip run migrated no thread; the closed-segment merge went untested")
 	}
-	if rep.Telemetry == nil {
-		t.Fatal("parallel report has no merged telemetry")
-	}
-
-	if !reflect.DeepEqual(serial, rep.Telemetry) {
-		t.Errorf("parallel merge differs from serial:\n serial   %+v\n parallel %+v",
-			serial, rep.Telemetry)
+	if got != pinChip {
+		t.Errorf("chip telemetry hash %s, pinned %s", got, pinChip)
 	}
 
-	// Sanity: the runs actually recorded something.
-	if serial.Cycles == 0 {
-		t.Error("no occupancy samples recorded")
+	var events int
+	job.Attach = func(c *core.Core) { c.SetObserver(func(obs.Event) { events++ }) }
+	if got, _ := telemetryHash(t, job); got != pinCore {
+		t.Errorf("core telemetry hash with an observer attached %s, pinned %s", got, pinCore)
 	}
-	var steers int64
-	for s := range serial.Steer {
-		for _, n := range serial.Steer[s] {
-			steers += n
-		}
-	}
-	if steers == 0 {
-		t.Error("no steer decisions recorded")
+	if events == 0 {
+		t.Error("attached observer received no events")
 	}
 }
 
 // TestTelemetryOffNoCollector checks the default path stays telemetry-free:
-// no collector on the result and no aggregate on the report.
+// no collector on the result.
 func TestTelemetryOffNoCollector(t *testing.T) {
 	job := Job{Config: config.Shelf64(2, true), Mix: testMixes(2, 1)[0], Warmup: 100, Measure: 500}
-	r := &Runner{}
-	res, simErr := r.Execute(context.Background(), job)
+	res, simErr := (&Runner{}).Execute(context.Background(), job)
 	if simErr != nil {
 		t.Fatalf("run failed: %v", simErr)
 	}
 	if res.Obs != nil {
 		t.Error("telemetry collected with Config.Telemetry unset")
-	}
-	rep := r.RunAll(context.Background(), []Job{job})
-	if rep.Telemetry != nil {
-		t.Error("report telemetry non-nil with Config.Telemetry unset")
 	}
 }

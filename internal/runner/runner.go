@@ -25,7 +25,6 @@ import (
 	"shelfsim/internal/config"
 	"shelfsim/internal/core"
 	"shelfsim/internal/isa"
-	"shelfsim/internal/obs"
 	"shelfsim/internal/workload"
 )
 
@@ -126,11 +125,6 @@ type JobResult struct {
 type Report struct {
 	Results  []JobResult
 	Failures []*SimError
-	// Telemetry is the merged observability of every successful job that
-	// ran with Config.Telemetry; nil when no job collected any. Each core
-	// owns its collector during simulation and the merge happens after the
-	// worker pool drains, so the aggregate is race-free by construction.
-	Telemetry *obs.Collector
 }
 
 // Runner executes supervised simulation jobs. The zero value is ready to
@@ -368,13 +362,6 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) *Report {
 	for i := range out {
 		if out[i].Err != nil {
 			rep.Failures = append(rep.Failures, out[i].Err)
-			continue
-		}
-		if o := out[i].Result.Obs; o != nil {
-			if rep.Telemetry == nil {
-				rep.Telemetry = obs.New()
-			}
-			rep.Telemetry.Merge(o)
 		}
 	}
 	return rep

@@ -96,9 +96,9 @@ go test -race -count=10 -run 'TestConcurrentNewStream|TestFingerprintMatchesRefe
 go test -run '^$' -fuzz FuzzStream -fuzztime 10s ./internal/runner/
 
 # The observability layer's own race gate, run explicitly so a -run filter
-# or test-cache change elsewhere can never hide it: merged telemetry from a
-# multi-worker sweep must equal the serial merge, with no data races.
-go test -race -count=1 -run TestTelemetryParallelMergeMatchesSerial ./internal/runner/...
+# or test-cache change elsewhere can never hide it: the merged telemetry of
+# a 4-worker Prewarm must equal a 1-worker Prewarm's, with no data races.
+go test -race -count=1 -run TestTelemetryParallelMergeMatchesSerial ./internal/harness/
 
 # Serving-layer race gate, run explicitly for the same reason: the shelfd
 # queue/dedup/drain machinery and the typed client are all about concurrent
@@ -228,13 +228,15 @@ fi
 # The benchmark-output awk patterns below accept the optional -N
 # GOMAXPROCS suffix Go appends to benchmark names on multi-CPU hosts.
 #
-# Telemetry overhead gate. The telemetry-off hot path differs from the seed
-# only by nil-receiver checks on the collector, so off-vs-on measured in one
-# process is the stable proxy for off-vs-seed (a cross-commit rerun would
-# confound machine noise with the change). Best-of-3 per benchmark filters
-# scheduler noise; fail if the telemetry-off best is slower than 97% of the
-# telemetry-on best — that can only happen through a pathological regression
-# in the off path, since on does strictly more work.
+# Telemetry overhead gate. Telemetry off means the core's event stream has
+# no consumer: each emission site costs one nil check on the stream's sink
+# and builds no event. Telemetry on feeds every event to the collector
+# through one indirect call. Off-vs-on measured in one process is the
+# stable proxy for off-vs-seed (a cross-commit rerun would confound machine
+# noise with the change). Best-of-3 per benchmark filters scheduler noise;
+# fail if the telemetry-off best is slower than 97% of the telemetry-on
+# best — that can only happen through a pathological regression in the off
+# path, since on does strictly more work.
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorThroughputTelemetry$|BenchmarkSimulatorThroughputBase$' \
     -benchtime 2x -count 3 . | tee /tmp/bench_obs.txt
 awk '
@@ -282,31 +284,33 @@ awk -v shelf_ref="$SHELF_BASELINE" -v base_ref="$BASE_BASELINE" '
 ' /tmp/bench_obs.txt
 cat BENCH_core.json
 
-# Chip-throughput scaling gate. BenchmarkChipThroughput runs a 4-core chip
-# (one goroutine per core) over 4x BenchmarkSimulatorThroughput's per-core
-# workload; dividing the two best-of-3 rates from this same run and
-# normalizing by the CPUs actually available — min(nproc, 4), so a 1-CPU
-# runner measures the chip model's overhead rather than impossible
-# parallel speedup — yields the scaling efficiency. BENCH_chip.json
-# records both rates and the efficiency; the gate fails below the
-# checked-in floor (0.7: with >= 4 CPUs that is the >= 3x single-core
-# claim, with 1 CPU it caps the chip layer's serial overhead at 30%).
+# Chip-throughput scaling gate. BenchmarkChipThroughput steps a 4-core chip
+# one goroutine per core; BenchmarkChipThroughputLockstep steps the same
+# chip sequentially. Both fail unless the run's Result fingerprint equals
+# the pinned one, so they simulate identical work and the ratio of their
+# best-of-3 rates from this same run is the parallel speedup, with host
+# speed cancelled. Normalizing by the CPUs actually available —
+# min(nproc, 4) — yields the scaling efficiency (on 1 CPU it measures the
+# goroutine-per-core path's overhead rather than impossible speedup).
+# BENCH_chip.json records both rates, the CPU count and the efficiency;
+# the gate fails below the checked-in floor (0.7: with >= 4 CPUs a 2.8x
+# speedup over lockstep).
 NCPU="$(nproc 2>/dev/null || echo 1)"
-go test -run '^$' -bench 'BenchmarkChipThroughput$' -benchtime 2x -count 3 . | tee /tmp/bench_chip.txt
+go test -run '^$' -bench 'BenchmarkChipThroughput$|BenchmarkChipThroughputLockstep$' -benchtime 2x -count 3 . | tee /tmp/bench_chip.txt
 MIN_EFF=$(sed -n 's/.*"min_scaling_efficiency": *\([0-9.][0-9.]*\).*/\1/p' scripts/bench_chip_baseline.json)
 awk -v ncpu="$NCPU" -v min_eff="$MIN_EFF" '
-    /^BenchmarkSimulatorThroughput(-[0-9]+)? / { if ($(NF-1) > shelf) shelf = $(NF-1) }
-    /^BenchmarkChipThroughput(-[0-9]+)? /      { if ($(NF-1) > chip)  chip  = $(NF-1) }
+    /^BenchmarkChipThroughput(-[0-9]+)? /         { if ($(NF-1) > chip) chip = $(NF-1) }
+    /^BenchmarkChipThroughputLockstep(-[0-9]+)? / { if ($(NF-1) > lock) lock = $(NF-1) }
     END {
-        if (shelf == 0 || chip == 0) { print "missing chip benchmark output"; exit 1 }
+        if (chip == 0 || lock == 0) { print "missing chip benchmark output"; exit 1 }
         if (min_eff == "") { print "missing bench_chip_baseline.json floor"; exit 1 }
         cores = ncpu + 0; if (cores > 4) cores = 4; if (cores < 1) cores = 1
-        eff = chip / (cores * shelf)
-        printf "{\n  \"chip_insts_per_s\": %.0f,\n  \"single_core_insts_per_s\": %.0f,\n  \"effective_cpus\": %d,\n  \"scaling_efficiency\": %.3f\n}\n", chip, shelf, cores, eff > "BENCH_chip.json"
+        eff = chip / lock / cores
+        printf "{\n  \"chip_insts_per_s\": %.0f,\n  \"lockstep_insts_per_s\": %.0f,\n  \"effective_cpus\": %d,\n  \"scaling_efficiency\": %.3f\n}\n", chip, lock, cores, eff > "BENCH_chip.json"
         if (eff < min_eff + 0) {
-            printf "chip scaling efficiency %.3f below floor %s (chip %.0f vs %d x %.0f insts/s)\n", eff, min_eff, chip, cores, shelf
+            printf "chip scaling efficiency %.3f below floor %s (parallel %.0f vs lockstep %.0f insts/s on %d CPUs)\n", eff, min_eff, chip, lock, cores
             exit 1
         }
     }
-' /tmp/bench_obs.txt /tmp/bench_chip.txt
+' /tmp/bench_chip.txt
 cat BENCH_chip.json
