@@ -10,7 +10,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	"shelfsim/internal/config"
 	"shelfsim/internal/harness"
@@ -322,11 +321,12 @@ func chipBenchKernels(cores int) []string {
 const pinChipBench = "eb817d2a4629157b"
 
 // benchChip runs the 4-core chip benchmark request in the given step mode
-// and reports simulated insts/s; it fails on any fingerprint but
+// and reports simulated insts/s and the per-core CPI (core-cycles summed
+// over the cores per retired instruction); it fails on any fingerprint but
 // pinChipBench.
 func benchChip(b *testing.B, lockstep bool) {
 	req := throughputRequest(chipBenchConfig(4, lockstep), chipBenchKernels(4))
-	var retired int64
+	var retired, coreCycles int64
 	for i := 0; i < b.N; i++ {
 		res, err := Run(context.Background(), req)
 		if err != nil {
@@ -336,8 +336,10 @@ func benchChip(b *testing.B, lockstep bool) {
 			b.Fatalf("chip fingerprint %s, pinned %s", fp, pinChipBench)
 		}
 		retired += res.Stats.Retired
+		coreCycles += res.Stats.Cycles
 	}
 	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "insts/s")
+	b.ReportMetric(float64(coreCycles)/float64(retired), "core-cycles/inst")
 }
 
 // BenchmarkChipThroughput measures chip-level simulation speed on the
@@ -351,11 +353,12 @@ func BenchmarkChipThroughput(b *testing.B) { benchChip(b, false) }
 // goroutine-per-core speedup.
 func BenchmarkChipThroughputLockstep(b *testing.B) { benchChip(b, true) }
 
-// TestChipParallelSpeedup asserts the tentpole scaling claim — a 4-core
-// chip simulates at >= 3x a single core's throughput — on hosts with
-// enough CPUs to show it; elsewhere (CI containers pinned to 1-2 CPUs) it
-// skips and scripts/ci.sh applies the CPU-normalized efficiency gate
-// instead.
+// TestChipParallelSpeedup asserts the chip's parallel step path simulates
+// at >= 2.8x the lockstep path's insts/s: scripts/ci.sh's 0.7 scaling
+// floor on 4 CPUs. Both rates come from benchChip, so the two runs do
+// identical work (each fails on any fingerprint but pinChipBench), and the
+// best of three damps scheduler noise as the CI gate does. It skips below
+// 4 CPUs, where the CI gate's CPU-normalized efficiency applies instead.
 func TestChipParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement is not a -short test")
@@ -363,38 +366,21 @@ func TestChipParallelSpeedup(t *testing.T) {
 	if procs := runtime.GOMAXPROCS(0); procs < 4 {
 		t.Skipf("need >= 4 CPUs to demonstrate 4-core scaling, have %d", procs)
 	}
-	kernels := chipBenchKernels(4)
-	single := func() time.Duration {
-		start := time.Now()
-		if _, err := Run(context.Background(), throughputRequest(Shelf64(4, true), kernels[:4])); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	chip := func() time.Duration {
-		start := time.Now()
-		if _, err := Run(context.Background(), throughputRequest(chipBenchConfig(4, false), kernels)); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	// Warm once, then take the best of three to damp scheduler noise.
-	single()
-	chip()
-	best := func(f func() time.Duration) time.Duration {
-		d := f()
-		for i := 0; i < 2; i++ {
-			if e := f(); e < d {
-				d = e
+	best := func(lockstep bool) float64 {
+		var rate float64
+		for i := 0; i < 3; i++ {
+			r := testing.Benchmark(func(b *testing.B) { benchChip(b, lockstep) })
+			if r.N == 0 {
+				t.Fatalf("chip benchmark (lockstep=%t) failed: fingerprint is not %s", lockstep, pinChipBench)
 			}
+			rate = max(rate, r.Extra["insts/s"])
 		}
-		return d
+		return rate
 	}
-	ds, dc := best(single), best(chip)
-	// The chip does 4x the work; >= 3x throughput means <= 4/3 the time.
-	if limit := ds * 4 / 3; dc > limit {
-		t.Errorf("4-core chip took %v for 4x the work of a single core (%v); want <= %v (3x scaling)",
-			dc, ds, limit)
+	parallel, lockstep := best(false), best(true)
+	if speedup := parallel / lockstep; speedup < 2.8 {
+		t.Errorf("parallel chip %.0f insts/s is %.2fx lockstep %.0f insts/s; want >= 2.8x",
+			parallel, speedup, lockstep)
 	}
 }
 

@@ -1,16 +1,17 @@
-// Shelfvet is the simulator's static-analysis gate: a vet-compatible
-// multichecker of the internal/analysis/checkers analyzers that enforce
-// the repo's determinism and observability invariants at compile review
-// time instead of after a million-cycle sweep diverges.
+// Shelfvet is the simulator's static-analysis gate: a multichecker of the
+// internal/analysis/checkers analyzers that enforce the repo's determinism,
+// allocation and serving-layer invariants at review time instead of after
+// a million-cycle sweep diverges. Each analyzer guards a bug class that no
+// test catches on every path.
 //
-// Run it standalone:
+// Run it over package patterns from the module root:
 //
 //	go run ./cmd/shelfvet ./...
+//	go run ./cmd/shelfvet -json ./... > SHELFVET.json
 //
-// or as a vet tool, which also covers test variants of each package:
-//
-//	go build -o /tmp/shelfvet ./cmd/shelfvet
-//	go vet -vettool=/tmp/shelfvet ./...
+// Diagnostics go to stderr; -json prints one report to stdout instead,
+// with the diagnostic count, the packages vetted and every diagnostic. The
+// exit code is 0 when clean, 1 when the tool fails and 2 on diagnostics.
 package main
 
 import (

@@ -4,8 +4,8 @@
 // repo's invariant checkers need no external module. It provides
 //
 //   - the Analyzer/Pass/Diagnostic vocabulary (this file),
-//   - a standalone package loader driven by `go list -export` (load.go),
-//   - the `go vet -vettool` unitchecker protocol (unitchecker.go), and
+//   - a package loader driven by `go list -export` (load.go),
+//   - the one driver, Main, that vets package patterns (driver.go), and
 //   - a golden-test driver with `// want` comments (analysistest/).
 //
 // The concrete checkers that enforce the simulator's invariants live in
@@ -66,13 +66,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos falls in a _test.go file. The simulator's
-// determinism invariants police architectural state, not test scaffolding,
-// so most checkers skip test files.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // RunAnalyzers executes each analyzer over one type-checked package and
 // returns the surviving diagnostics sorted by position, with
 // //shelfvet:ignore suppressions already applied.
@@ -81,10 +74,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 // from any running analyzer it names (or from any analyzer at all, for
 // bare directives) produces an "unusedignore" diagnostic at the
 // directive itself, so stale ignores fail the gate instead of silently
-// masking the next regression. The audit only runs for a package's base
-// unit — test variants ("p [p.test]") re-analyze the same files with
-// scope rules that deliberately skip test scaffolding, which would
-// double-report or miss directives.
+// masking the next regression.
 func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	directives := ParseDirectives(fset, files)
 	running := map[string]bool{}
@@ -110,17 +100,15 @@ func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			all = append(all, d)
 		}
 	}
-	if !strings.Contains(pkg.Path(), " [") {
-		for _, dir := range directives {
-			if dir.applicable(running) && !dir.used {
-				all = append(all, Diagnostic{
-					Pos:      dir.Pos,
-					Analyzer: UnusedIgnoreName,
-					Message: fmt.Sprintf(
-						"unused //shelfvet:ignore directive: it suppresses no diagnostic from %s — stale ignores mask regressions, delete it",
-						dir.nameList()),
-				})
-			}
+	for _, dir := range directives {
+		if dir.applicable(running) && !dir.used {
+			all = append(all, Diagnostic{
+				Pos:      dir.Pos,
+				Analyzer: UnusedIgnoreName,
+				Message: fmt.Sprintf(
+					"unused //shelfvet:ignore directive: it suppresses no diagnostic from %s — stale ignores mask regressions, delete it",
+					dir.nameList()),
+			})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -168,9 +156,8 @@ func ParseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 }
 
 // exportImporter resolves imports from compiler export data: importMap
-// rewrites source-level paths (vendoring, test variants) and packageFile
-// locates each canonical path's export file, exactly the shape `go vet`
-// and `go list -export` hand us.
+// rewrites source-level paths (vendoring) and packageFile locates each
+// canonical path's export file, the shape `go list -export` hands us.
 type exportImporter struct {
 	gc          types.Importer
 	importMap   map[string]string

@@ -140,7 +140,8 @@ func (l *loader) load(path string) *fixture {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		// Test files are skipped, as analysis.Load skips them.
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 			names = append(names, filepath.Join(dir, e.Name()))
 		}
 	}

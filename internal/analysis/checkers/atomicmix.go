@@ -24,9 +24,7 @@ import (
 //   - type-style atomics (atomic.Int64, atomic.Pointer[T], ...): the
 //     value must only appear as a method receiver or behind &; copying
 //     it (assignment, argument, return, composite literal, comparison)
-//     smuggles the raw word out from under the atomic API. go vet's
-//     copylocks would catch some of these, but the vettool protocol
-//     replaces the standard analyzers, so the rule lives here.
+//     smuggles the raw word out from under the atomic API.
 var Atomicmix = &analysis.Analyzer{
 	Name: "atomicmix",
 	Doc:  "a variable accessed via sync/atomic must never be read or written plainly, and atomic-typed values must never be copied",
@@ -49,9 +47,6 @@ func runAtomicmix(pass *analysis.Pass) error {
 	atomicObjs := map[types.Object]atomicUse{}
 	sanctioned := map[ast.Node]bool{}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
@@ -85,9 +80,6 @@ func runAtomicmix(pass *analysis.Pass) error {
 	// atomic-typed values. The walk keeps a parent so an expression used
 	// as a method receiver or address-of target is not a copy.
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		var walk func(parent, n ast.Node)
 		walk = func(parent, n ast.Node) {
 			if n == nil {

@@ -1,12 +1,15 @@
 // Package checkers holds shelfvet's analyzers: the static counterparts of
-// the simulator's runtime invariants. Each analyzer guards a bug class the
-// repo has already paid for once (racy package globals, untyped panics,
-// config fields missing from the cache fingerprint, nondeterministic map
-// iteration, wall-clock leakage) so a refactor cannot quietly reintroduce
-// it. See DESIGN.md "Static analysis" for the analyzer-to-invariant map.
+// the simulator's runtime invariants. Each analyzer guards a bug class that
+// no test in the suite catches on every path (racy package globals,
+// untyped panics, nondeterministic map iteration, wall-clock leakage,
+// cycle-loop allocation, and the serving layer's lock, atomic, goroutine
+// and error discipline), so a refactor cannot quietly reintroduce it. See
+// DESIGN.md "Static analysis" for the analyzer-to-invariant map and the
+// audit that decided which bug classes need one.
 package checkers
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 
@@ -18,7 +21,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Noglobals,
 		Typedpanic,
-		Fingerprint,
 		Maprange,
 		Walltime,
 		Hotalloc,
@@ -40,9 +42,7 @@ var policedSuffixes = []string{
 }
 
 // policed reports whether pkgPath is (or ends with) one of the
-// deterministic-core package paths. Test variants of a package carry a
-// bracketed import path ("p [p.test]") and deliberately do not match:
-// determinism invariants police architectural state, not test scaffolding.
+// deterministic-core package paths.
 func policed(pkgPath string) bool {
 	return pathIn(pkgPath, policedSuffixes)
 }
@@ -61,3 +61,17 @@ func pathIn(pkgPath string, suffixes []string) bool {
 
 // errorInterface is the universe error type, for Implements checks.
 var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// calleeFunc resolves a call expression to its function object when it is
+// a plain function or method call.
+func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}

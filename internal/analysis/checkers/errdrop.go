@@ -60,9 +60,6 @@ var Errdrop = &analysis.Analyzer{
 
 func runErrdrop(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.DeferStmt, *ast.GoStmt:

@@ -66,9 +66,6 @@ func runHotalloc(pass *analysis.Pass) error {
 	// method name — over-approximate across receivers by design).
 	decls := map[string][]*ast.FuncDecl{}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)

@@ -43,9 +43,6 @@ var Lockdiscipline = &analysis.Analyzer{
 
 func runLockdiscipline(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		forEachFunc(f, func(name string, body *ast.BlockStmt) {
 			checkLockFunc(pass, name, body)
 		})

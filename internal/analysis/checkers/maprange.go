@@ -16,7 +16,7 @@ import (
 // suppress an audited commutative site with //shelfvet:ignore maprange.
 var Maprange = &analysis.Analyzer{
 	Name: "maprange",
-	Doc:  "forbid range-over-map in internal/core, internal/mem and internal/steer (iteration order is nondeterministic)",
+	Doc:  "forbid range-over-map in internal/core, internal/mem, internal/steer and internal/chip (iteration order is nondeterministic)",
 	Run:  runMaprange,
 }
 
@@ -27,7 +27,7 @@ func runMaprange(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
-			if !ok || pass.InTestFile(rs.Pos()) {
+			if !ok {
 				return true
 			}
 			t := pass.TypesInfo.TypeOf(rs.X)

@@ -16,7 +16,7 @@ import (
 // carry no state.
 var Noglobals = &analysis.Analyzer{
 	Name: "noglobals",
-	Doc:  "forbid package-level variables (mutable process state) in internal/core, internal/mem and internal/steer",
+	Doc:  "forbid package-level variables (mutable process state) in internal/core, internal/mem, internal/steer and internal/chip",
 	Run:  runNoglobals,
 }
 
@@ -27,7 +27,7 @@ func runNoglobals(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR || pass.InTestFile(gd.Pos()) {
+			if !ok || gd.Tok != token.VAR {
 				continue
 			}
 			for _, spec := range gd.Specs {

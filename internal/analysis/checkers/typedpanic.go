@@ -29,7 +29,7 @@ func runTypedpanic(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || pass.InTestFile(call.Pos()) {
+			if !ok {
 				return true
 			}
 			id, ok := call.Fun.(*ast.Ident)

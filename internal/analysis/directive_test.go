@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"strings"
 	"testing"
 )
@@ -199,18 +198,6 @@ func TestUnusedBareDirectiveIsReported(t *testing.T) {
 	diags := runWithDirectives(t, "package p\n\nfunc f() {} //shelfvet:ignore\n", []*Analyzer{always})
 	if len(diags) != 1 || diags[0].Analyzer != UnusedIgnoreName {
 		t.Fatalf("unused bare directive must be reported, got %v", diags)
-	}
-}
-
-func TestUnusedAuditSkipsTestVariants(t *testing.T) {
-	fset, files := parseSrc(t, "package p\n\nfunc f() {} //shelfvet:ignore always\n")
-	pkg := types.NewPackage("p [p.test]", "p")
-	diags, err := RunAnalyzers([]*Analyzer{always}, fset, files, pkg, &types.Info{})
-	if err != nil {
-		t.Fatalf("RunAnalyzers: %v", err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("test-variant unit must skip the unused audit, got %v", diags)
 	}
 }
 

@@ -84,8 +84,8 @@ type Package struct {
 
 // Load resolves the patterns in dir (a module root or below), parses each
 // matched package from source and type-checks it against export data for
-// its dependencies. Test files are not loaded: the standalone driver is
-// the quick path, while `go vet -vettool` covers test variants too.
+// its dependencies. Test files are not loaded: the invariants police the
+// simulator and its services, not test scaffolding.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"testing"
+
+	"shelfsim/internal/analysis/cfg"
 )
 
 // TestSelfCheckModule builds and structurally verifies a CFG for every
@@ -49,4 +52,15 @@ func TestSelfCheckModule(t *testing.T) {
 		t.Fatalf("self-check visited only %d functions; the module loader is dropping packages", funcs)
 	}
 	t.Logf("self-check: %d functions across %d packages", funcs, len(pkgs))
+}
+
+// buildAndCheckCFG builds one function's CFG, converting builder panics
+// into errors so one bad function does not abort the sweep.
+func buildAndCheckCFG(body *ast.BlockStmt) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("cfg builder panicked: %v", r)
+		}
+	}()
+	return cfg.New(body).Check()
 }

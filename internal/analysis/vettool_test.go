@@ -1,11 +1,16 @@
 package analysis_test
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"shelfsim/internal/analysis/checkers"
 )
 
 // buildShelfvet compiles the multichecker binary once per test run.
@@ -43,70 +48,80 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// runVet runs `go vet -vettool=<shelfvet>` in dir and returns combined
-// output plus whether vet failed.
-func runVet(t *testing.T, shelfvet, dir string) (string, bool) {
-	t.Helper()
-	cmd := exec.Command("go", "vet", "-vettool="+shelfvet, "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
-	out, err := cmd.CombinedOutput()
-	return string(out), err != nil
+// shelfvetReport is the -json report shape the CI gate archives.
+type shelfvetReport struct {
+	Count       int      `json:"count"`
+	Packages    []string `json:"packages"`
+	Diagnostics []struct {
+		Analyzer string `json:"analyzer"`
+		Message  string `json:"message"`
+	} `json:"diagnostics"`
 }
 
-// TestVettoolGateFailsOnReintroducedViolations is the acceptance test for
-// the CI wiring: deliberately reintroducing the guarded bug classes in a
-// scratch module must make `go vet -vettool=shelfvet` exit nonzero with
-// the analyzers' diagnostics, with no warn-only mode.
-func TestVettoolGateFailsOnReintroducedViolations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
+// runGate runs `shelfvet -json ./...` in dir, exactly as scripts/ci.sh
+// does, and returns the decoded report and the exit code.
+func runGate(t *testing.T, shelfvet, dir string) (shelfvetReport, int) {
+	t.Helper()
+	cmd := exec.Command(shelfvet, "-json", "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	code := 0
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("running shelfvet: %v", err)
 	}
-	shelfvet := buildShelfvet(t)
-	mod := t.TempDir()
-	writeTree(t, mod, map[string]string{
-		"go.mod": "module scratchsim\n\ngo 1.22\n",
-		// A mutable package global and a bare-string panic in the core.
-		"internal/core/core.go": `package core
+	var rep shelfvetReport
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("decoding shelfvet report (exit %d): %v\nstdout:\n%s\nstderr:\n%s", code, err, out, stderr.String())
+	}
+	return rep, code
+}
+
+// plantedModule has one violation per analyzer, each in the package the
+// analyzer polices; plantedDiagnostics maps each analyzer to a fragment of
+// the diagnostic it must report.
+var plantedModule = map[string]string{
+	"go.mod": "module scratchsim\n\ngo 1.22\n",
+	// A mutable package global, a bare-string panic, a range over a map, a
+	// wall-clock read and a runtime-sized make, all on the cycle loop.
+	"internal/core/core.go": `package core
+
+import "time"
 
 var stallCount int64
 
-func Step(ok bool) {
+type Core struct {
+	pending map[int]int
+	buf     []int
+	started time.Time
+}
+
+func (c *Core) Step(ok bool, n int) {
 	if !ok {
 		panic("pipeline stalled")
 	}
 	stallCount++
+	c.buf = make([]int, n)
+	for k := range c.pending {
+		c.buf[0] += k
+	}
+	c.started = time.Now()
 }
 `,
-		// A Config field missing from Fingerprint.
-		"internal/config/config.go": `package config
-
-import (
-	"fmt"
-	"hash/fnv"
-)
-
-type Config struct {
-	Threads int
-	Shelf   int
-}
-
-func (c *Config) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d", c.Threads)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-`,
-		// The flow-sensitive bug classes: an unpaired Lock, a plain read
-		// of an atomically-written field, a goroutine with no exit path,
-		// and a dropped store error.
-		"internal/store/store.go": `package store
+	"internal/store/store.go": `package store
 
 type Store struct{}
 
 func (s *Store) SaveMeta(doc any) error { return nil }
 `,
-		"internal/serve/serve.go": `package serve
+	// An unpaired Lock, a plain read of an atomically written field, a
+	// goroutine with no exit path and a dropped store error.
+	"internal/serve/serve.go": `package serve
 
 import (
 	"sync"
@@ -152,83 +167,108 @@ func (s *Shard) Persist(st *store.Store) {
 	_ = st.SaveMeta(len(s.queue))
 }
 `,
-	})
+}
 
-	out, failed := runVet(t, shelfvet, mod)
-	if !failed {
-		t.Fatalf("go vet -vettool=shelfvet passed on a module with planted violations\n%s", out)
+var plantedDiagnostics = map[string]string{
+	"noglobals":      "package-level variable stallCount",
+	"typedpanic":     "panic argument has type string",
+	"maprange":       "range over map of type map[int]int",
+	"walltime":       "time.Now in the simulation path",
+	"hotalloc":       "make with non-constant size in Step",
+	"lockdiscipline": "not released on every path",
+	"atomicmix":      "accessed with sync/atomic",
+	"goroleak":       "no provable exit path",
+	"errdrop":        "SaveMeta is assigned to _",
+}
+
+// TestVettoolGateFailsOnReintroducedViolations is the acceptance test for
+// the CI gate: a scratch module with one planted violation per analyzer
+// must make `shelfvet -json ./...` exit 2 with exactly one diagnostic from
+// every analyzer, each naming its bug class. An analyzer added without a
+// planted violation, or removed with its plant left here, fails too.
+func TestVettoolGateFailsOnReintroducedViolations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary and loads a module")
 	}
-	for _, want := range []string{
-		"package-level variable stallCount",
-		"panic argument has type string",
-		"config field Shelf is not hashed by Fingerprint",
-		"not released on every path",
-		"accessed with sync/atomic",
-		"no provable exit path",
-		"SaveMeta is assigned to _",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("vet output missing %q:\n%s", want, out)
+	shelfvet := buildShelfvet(t)
+	mod := t.TempDir()
+	writeTree(t, mod, plantedModule)
+
+	rep, code := runGate(t, shelfvet, mod)
+	if code != 2 {
+		t.Fatalf("shelfvet exit %d on a module with planted violations, want 2: %+v", code, rep)
+	}
+	got := map[string][]string{}
+	for _, d := range rep.Diagnostics {
+		got[d.Analyzer] = append(got[d.Analyzer], d.Message)
+	}
+	for _, a := range checkers.All() {
+		if _, ok := plantedDiagnostics[a.Name]; !ok {
+			t.Errorf("analyzer %s has no planted violation", a.Name)
 		}
+	}
+	for name, frag := range plantedDiagnostics {
+		msgs := got[name]
+		if len(msgs) != 1 || !strings.Contains(msgs[0], frag) {
+			t.Errorf("%s: want one diagnostic containing %q, got %q", name, frag, msgs)
+		}
+		delete(got, name)
+	}
+	if len(got) > 0 {
+		t.Errorf("diagnostics from unexpected analyzers: %v", got)
+	}
+	if rep.Count != len(rep.Diagnostics) {
+		t.Errorf("report count %d, but %d diagnostics", rep.Count, len(rep.Diagnostics))
 	}
 }
 
 // TestVettoolGatePassesCleanModule is the inverse: the same scratch shapes
-// with the violations repaired must pass the gate.
+// with the violations repaired must pass the gate, and the report must
+// list every package it vetted.
 func TestVettoolGatePassesCleanModule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
+		t.Skip("builds a binary and loads a module")
 	}
 	shelfvet := buildShelfvet(t)
 	mod := t.TempDir()
 	writeTree(t, mod, map[string]string{
 		"go.mod": "module scratchsim\n\ngo 1.22\n",
+		// State on the instance, a typed panic, a sorted slice in place of
+		// the map, the cycle counter in place of the clock, and a buffer
+		// sized at construction.
 		"internal/core/core.go": `package core
 
 import "fmt"
-
-type Core struct {
-	stallCount int64
-}
 
 type StallError struct{ Cycle int64 }
 
 func (e *StallError) Error() string { return fmt.Sprintf("stalled at %d", e.Cycle) }
 
-func (c *Core) Step(ok bool, cycle int64) {
+type Core struct {
+	stallCount int64
+	pending    []int
+	buf        []int
+	cycle      int64
+	started    int64
+}
+
+func New(n int) *Core { return &Core{buf: make([]int, n)} }
+
+func (c *Core) Step(ok bool) {
 	if !ok {
-		panic(&StallError{Cycle: cycle})
+		panic(&StallError{Cycle: c.cycle})
 	}
 	c.stallCount++
+	for _, k := range c.pending {
+		c.buf[0] += k
+	}
+	c.started = c.cycle
 }
 `,
-		"internal/config/config.go": `package config
-
-import (
-	"fmt"
-	"hash/fnv"
-)
-
-type Config struct {
-	Threads int
-	Shelf   int
-}
-
-func (c *Config) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d %d", c.Threads, c.Shelf)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-`,
-		// The repaired flow-sensitive shapes: deferred unlock, typed
-		// atomics used through their API, a done-channel goroutine, and a
-		// propagated store error.
-		"internal/store/store.go": `package store
-
-type Store struct{}
-
-func (s *Store) SaveMeta(doc any) error { return nil }
-`,
+		"internal/store/store.go": plantedModule["internal/store/store.go"],
+		// The repaired serving shapes: deferred unlock, typed atomics used
+		// through their API, a done-channel goroutine, and a propagated
+		// store error.
 		"internal/serve/serve.go": `package serve
 
 import (
@@ -283,7 +323,13 @@ func (s *Shard) Persist(st *store.Store) error {
 `,
 	})
 
-	if out, failed := runVet(t, shelfvet, mod); failed {
-		t.Fatalf("go vet -vettool=shelfvet failed on a clean module:\n%s", out)
+	rep, code := runGate(t, shelfvet, mod)
+	if code != 0 || rep.Count != 0 {
+		t.Fatalf("shelfvet exit %d with %d diagnostics on a clean module: %+v", code, rep.Count, rep.Diagnostics)
+	}
+	sort.Strings(rep.Packages)
+	wantPkgs := "scratchsim/internal/core scratchsim/internal/serve scratchsim/internal/store"
+	if got := strings.Join(rep.Packages, " "); got != wantPkgs {
+		t.Fatalf("report lists packages %q, want %q", got, wantPkgs)
 	}
 }

@@ -454,18 +454,13 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// FingerprintFieldCount is the number of Config fields Fingerprint hashes.
-// It must track the struct exactly: the shelfvet `fingerprint` analyzer
-// checks the field-by-field coverage statically and a reflection test in
-// internal/harness checks this count (and per-field sensitivity) at run
-// time, so a field added without a fingerprint update fails both gates.
-const FingerprintFieldCount = 42
-
 // Fingerprint returns a stable hash of every configuration field,
-// enumerated explicitly rather than reflectively so coverage is auditable
-// (and statically enforced by shelfvet). Run caches must key on it rather
-// than on Name: two configurations sharing a name but differing in any
-// field would otherwise silently alias results.
+// enumerated explicitly rather than reflectively so coverage is auditable.
+// A reflection test in internal/harness mutates every field and requires
+// the hash to change, so a field added without a fingerprint update fails
+// the suite. Run caches must key on it rather than on Name: two
+// configurations sharing a name but differing in any field would
+// otherwise silently alias results.
 func (c *Config) Fingerprint() string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "thr=%d fw=%d w=%d f2d=%d rob=%d iq=%d lq=%d sq=%d prf=%d",

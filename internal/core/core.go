@@ -86,11 +86,14 @@ type Core struct {
 
 	// tele is this core's telemetry collector (nil unless
 	// Config.Telemetry); sink receives the event stream: the collector,
-	// the SetObserver function, or both (nil when neither). Both are owned
-	// by the instance, so concurrently simulated cores share no mutable
+	// the SetObserver function, or both (nil when neither). observer is
+	// the SetObserver function alone: retire and store-commit events go
+	// only to it, since the collector counts neither. All are owned by the
+	// instance, so concurrently simulated cores share no mutable
 	// instrumentation state.
-	tele *obs.Collector
-	sink func(obs.Event)
+	tele     *obs.Collector
+	sink     func(obs.Event)
+	observer func(obs.Event)
 
 	stats Stats
 }

@@ -45,7 +45,7 @@ func (c *Core) dispatchOne(t *thread, now int64) bool {
 		u.toShelf = t.shelfCap > 0 && c.steerer.Steer(c, t, u, now)
 		u.steerDecided = true
 		if c.sink != nil {
-			c.emit(obs.EvSteer, u, now)
+			c.emit(c.sink, obs.EvSteer, u, now)
 		}
 	}
 

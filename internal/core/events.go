@@ -188,8 +188,8 @@ func (c *Core) retireShelfOp(t *thread, u *uop, now int64) {
 		} else {
 			c.hier.StoreCommit(u.inst.Addr, now)
 			t.commitStore(u.inst.Addr>>3, now)
-			if c.sink != nil {
-				c.emit(obs.EvStoreCommit, u, now)
+			if c.observer != nil {
+				c.emit(c.observer, obs.EvStoreCommit, u, now)
 			}
 		}
 	}

@@ -331,7 +331,7 @@ func (c *Core) issueOne(u *uop, now int64) {
 	}
 
 	if c.sink != nil {
-		c.emit(obs.EvIssue, u, now)
+		c.emit(c.sink, obs.EvIssue, u, now)
 	}
 	if u.completeCycle <= now {
 		c.fail(u.tid, "event-order", "op %v scheduled to complete at cycle %d, not after %d", u, u.completeCycle, now)

@@ -70,8 +70,8 @@ func (c *Core) retireOne(t *thread, now int64) bool {
 		t.sq = popQueueFront(t.sq)
 		c.hier.StoreCommit(u.inst.Addr, now)
 		t.commitStore(u.inst.Addr>>3, now)
-		if c.sink != nil {
-			c.emit(obs.EvStoreCommit, u, now)
+		if c.observer != nil {
+			c.emit(c.observer, obs.EvStoreCommit, u, now)
 		}
 	case isa.OpLoad:
 		if len(t.lq) == 0 || t.lq[0] != u {
@@ -91,8 +91,8 @@ func (c *Core) pruneRetired(t *thread, now int64) {
 		u := t.inflight[i]
 		t.retired++
 		c.stats.Retired++
-		if c.sink != nil {
-			c.emit(obs.EvRetire, u, now)
+		if c.observer != nil {
+			c.emit(c.observer, obs.EvRetire, u, now)
 		}
 		if u.inSeq {
 			t.retiredInSeq++

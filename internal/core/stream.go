@@ -6,10 +6,11 @@ import "shelfsim/internal/obs"
 // every steering decision, issue (with a load's observed provenance),
 // store commit, retirement, squash and cycle. The axiomatic litmus checker
 // and the retire-order differential are its consumers. With
-// Config.Telemetry set, the core's own collector keeps receiving every
-// event ahead of fn. Events are delivered synchronously from the
+// Config.Telemetry set, the core's own collector keeps receiving the
+// kinds it counts ahead of fn. Events are delivered synchronously from the
 // simulation loop; fn must not call back into the core.
 func (c *Core) SetObserver(fn func(obs.Event)) {
+	c.observer = fn
 	c.sink = fn
 	if t := c.tele; t != nil {
 		c.sink = t.Observe
@@ -22,9 +23,10 @@ func (c *Core) SetObserver(fn func(obs.Event)) {
 	}
 }
 
-// emit reports kind for u at cycle now to the event sink. Callers check
-// c.sink for nil first, so an unobserved core pays one branch per site.
-func (c *Core) emit(kind obs.EventKind, u *uop, now int64) {
+// emit reports kind for u at cycle now to to: c.sink, or c.observer for
+// the kinds the collector ignores. Callers check to for nil first, so an
+// unobserved core pays one branch per site.
+func (c *Core) emit(to func(obs.Event), kind obs.EventKind, u *uop, now int64) {
 	ev := obs.Event{Kind: kind, Tid: u.tid, Seq: u.seq, Cycle: now, Op: u.inst.Op,
 		Addr: u.inst.Addr, ToShelf: u.toShelf, Coalesced: u.coalesced, ProviderSeq: -1,
 		DispatchCycle: u.dispatchCycle, CompleteCycle: u.completeCycle}
@@ -36,5 +38,5 @@ func (c *Core) emit(kind obs.EventKind, u *uop, now int64) {
 			ev.Source = obs.LoadFromLoad
 		}
 	}
-	c.sink(ev)
+	to(ev)
 }

@@ -7,24 +7,10 @@ import (
 	"shelfsim/internal/config"
 )
 
-// TestFingerprintFieldCountMatchesStruct is the runtime backstop to the
-// shelfvet `fingerprint` analyzer: adding a Config field bumps the struct's
-// field count, and this assertion fails until FingerprintFieldCount (and
-// therefore, by review, the Fingerprint method) is updated to match.
-func TestFingerprintFieldCountMatchesStruct(t *testing.T) {
-	n := reflect.TypeOf(config.Config{}).NumField()
-	if n != config.FingerprintFieldCount {
-		t.Fatalf("config.Config has %d fields but FingerprintFieldCount is %d: "+
-			"a field was added or removed without updating Fingerprint's coverage",
-			n, config.FingerprintFieldCount)
-	}
-}
-
-// TestFingerprintSensitiveToEveryField goes further than counting: it
-// mutates each Config field in turn (recursing into the nested substrate
-// configs) and requires the fingerprint to change. A field the fingerprint
-// misses would alias cache entries in the harness — the exact Name-aliasing
-// bug class PR 1 fixed.
+// TestFingerprintSensitiveToEveryField mutates each Config field in turn
+// (recursing into the nested substrate configs) and requires the
+// fingerprint to change. A field the fingerprint misses would alias
+// cache entries in the harness, as keying on Name once did.
 func TestFingerprintSensitiveToEveryField(t *testing.T) {
 	base := config.Base64(4)
 	baseFP := base.Fingerprint()

@@ -15,36 +15,19 @@ go vet ./...
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 
 # Project-specific invariants gate. shelfvet is this repo's go/analysis
-# multichecker (see cmd/shelfvet); any diagnostic fails CI — there is no
-# warn-only mode. The binary is built into a stable path so Go's build
-# cache makes repeat runs a no-op link.
-SHELFVET="${SHELFVET:-/tmp/shelfsim-tools/shelfvet}"
-mkdir -p "$(dirname "$SHELFVET")"
-go build -o "$SHELFVET" ./cmd/shelfvet
-
-# The vettool runs over the explicit `go list ./...` package list, never a
-# hand-maintained one: a stale list once let cmd/shelfload escape the gate.
-# The assertions pin packages that historically fell out of coverage; if
-# one is ever missing the list itself is broken, not the package.
-PKGLIST="$(go list ./...)"
+# multichecker (see cmd/shelfvet), run once over `./...`; any diagnostic
+# fails CI — there is no warn-only mode. SHELFVET.json is the report: the
+# diagnostic count (must be 0), the packages vetted and every diagnostic.
+# testdata fixture trees are outside `./...` and never load here.
+go run ./cmd/shelfvet -json ./... > SHELFVET.json || { cat SHELFVET.json; exit 1; }
+grep -q '"count": 0' SHELFVET.json || { cat SHELFVET.json; exit 1; }
+# The assertions pin packages that historically fell out of coverage (a
+# stale hand-kept list once let cmd/shelfload escape the gate); if one is
+# missing from the report, the gate lost coverage.
 for must in shelfsim/cmd/shelfload shelfsim/internal/store shelfsim/internal/litmus \
     shelfsim/internal/serve shelfsim/internal/runner shelfsim/internal/core; do
-    echo "$PKGLIST" | grep -qx "$must" || { echo "vet coverage lost $must"; exit 1; }
+    grep -q "\"$must\"" SHELFVET.json || { echo "vet coverage lost $must"; exit 1; }
 done
-# shellcheck disable=SC2086 # the package list is meant to word-split
-go vet -vettool="$SHELFVET" $PKGLIST
-
-# CFG totality self-check: the flow-sensitive checkers build a CFG for
-# every function in the module; the builder must be total over real code.
-"$SHELFVET" -selfcheck ./...
-
-# Diagnostic-count artifact: SHELFVET.json records every finding (count
-# must be 0 — testdata fixture trees are outside `go list ./...` and never
-# load here). The JSON run duplicates the vet gate on purpose: the
-# artifact documents what the gate saw, and its exit code fails CI even if
-# the -vettool protocol above ever drifts into silently skipping packages.
-"$SHELFVET" -json ./... > SHELFVET.json || { cat SHELFVET.json; exit 1; }
-grep -q '"count": 0' SHELFVET.json || { cat SHELFVET.json; exit 1; }
 
 go test -race ./...
 
@@ -292,21 +275,24 @@ cat BENCH_core.json
 # speed cancelled. Normalizing by the CPUs actually available —
 # min(nproc, 4) — yields the scaling efficiency (on 1 CPU it measures the
 # goroutine-per-core path's overhead rather than impossible speedup).
-# BENCH_chip.json records both rates, the CPU count and the efficiency;
-# the gate fails below the checked-in floor (0.7: with >= 4 CPUs a 2.8x
-# speedup over lockstep).
+# BENCH_chip.json records both rates, the per-core CPI (core-cycles per
+# retired instruction, the same in both modes), the CPU count and the
+# efficiency; the gate fails below the checked-in floor (0.7: with >= 4
+# CPUs a 2.8x speedup over lockstep). Each metric is read by its unit
+# name, not its field position.
 NCPU="$(nproc 2>/dev/null || echo 1)"
 go test -run '^$' -bench 'BenchmarkChipThroughput$|BenchmarkChipThroughputLockstep$' -benchtime 2x -count 3 . | tee /tmp/bench_chip.txt
 MIN_EFF=$(sed -n 's/.*"min_scaling_efficiency": *\([0-9.][0-9.]*\).*/\1/p' scripts/bench_chip_baseline.json)
 awk -v ncpu="$NCPU" -v min_eff="$MIN_EFF" '
-    /^BenchmarkChipThroughput(-[0-9]+)? /         { if ($(NF-1) > chip) chip = $(NF-1) }
-    /^BenchmarkChipThroughputLockstep(-[0-9]+)? / { if ($(NF-1) > lock) lock = $(NF-1) }
+    function metric(unit,    i) { for (i = 2; i < NF; i++) if ($(i + 1) == unit) return $i; return 0 }
+    /^BenchmarkChipThroughput(-[0-9]+)? /         { r = metric("insts/s"); if (r > chip) chip = r; cpi = metric("core-cycles/inst") }
+    /^BenchmarkChipThroughputLockstep(-[0-9]+)? / { r = metric("insts/s"); if (r > lock) lock = r }
     END {
-        if (chip == 0 || lock == 0) { print "missing chip benchmark output"; exit 1 }
+        if (chip == 0 || lock == 0 || cpi == 0) { print "missing chip benchmark output"; exit 1 }
         if (min_eff == "") { print "missing bench_chip_baseline.json floor"; exit 1 }
         cores = ncpu + 0; if (cores > 4) cores = 4; if (cores < 1) cores = 1
         eff = chip / lock / cores
-        printf "{\n  \"chip_insts_per_s\": %.0f,\n  \"lockstep_insts_per_s\": %.0f,\n  \"effective_cpus\": %d,\n  \"scaling_efficiency\": %.3f\n}\n", chip, lock, cores, eff > "BENCH_chip.json"
+        printf "{\n  \"chip_insts_per_s\": %.0f,\n  \"lockstep_insts_per_s\": %.0f,\n  \"core_cycles_per_inst\": %.4f,\n  \"effective_cpus\": %d,\n  \"scaling_efficiency\": %.3f\n}\n", chip, lock, cpi, cores, eff > "BENCH_chip.json"
         if (eff < min_eff + 0) {
             printf "chip scaling efficiency %.3f below floor %s (parallel %.0f vs lockstep %.0f insts/s on %d CPUs)\n", eff, min_eff, chip, lock, cores
             exit 1
