@@ -174,13 +174,6 @@ func benchConfigSTP(b *testing.B, mutate func(*config.Config)) {
 
 // Ablations of the design choices DESIGN.md calls out.
 
-func BenchmarkAblation_SingleSSR(b *testing.B) {
-	benchConfigSTP(b, func(c *config.Config) {
-		c.SingleSSR = true
-		c.Name = "shelf64-singlessr"
-	})
-}
-
 func BenchmarkAblation_ShelfIndexSpace(b *testing.B) {
 	benchConfigSTP(b, func(c *config.Config) {
 		c.ShelfReleaseAtWriteback = true

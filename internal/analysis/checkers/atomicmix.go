@@ -15,19 +15,16 @@ import (
 // class behind the serve layer's execGate incident (an atomically
 // published gate observed through a plain read).
 //
-// Two forms are policed, in every non-test file of the module:
-//
-//   - function-style atomics: atomic.LoadT(&x.f, ...) marks x.f's field
-//     object as atomic; any other plain mention of that field in the
-//     package is reported (identity is the field/var object, so the rule
-//     follows the field across methods with different receiver names);
-//   - type-style atomics (atomic.Int64, atomic.Pointer[T], ...): the
-//     value must only appear as a method receiver or behind &; copying
-//     it (assignment, argument, return, composite literal, comparison)
-//     smuggles the raw word out from under the atomic API.
+// The rule covers function-style atomics, in every non-test file of the
+// module: atomic.LoadT(&x.f, ...) marks x.f's field object as atomic, and
+// any other plain mention of that field in the package is reported
+// (identity is the field/var object, so the rule follows the field across
+// methods with different receiver names). Copies of type-style atomics
+// (atomic.Int64, atomic.Pointer[T], ...) are go vet's copylocks check,
+// which CI runs, so this analyzer does not repeat it.
 var Atomicmix = &analysis.Analyzer{
 	Name: "atomicmix",
-	Doc:  "a variable accessed via sync/atomic must never be read or written plainly, and atomic-typed values must never be copied",
+	Doc:  "a variable accessed via sync/atomic must never be read or written plainly",
 	Run:  runAtomicmix,
 }
 
@@ -76,12 +73,10 @@ func runAtomicmix(pass *analysis.Pass) error {
 		})
 	}
 
-	// Pass 2: report plain mentions of atomic objects and copies of
-	// atomic-typed values. The walk keeps a parent so an expression used
-	// as a method receiver or address-of target is not a copy.
+	// Pass 2: report plain mentions of atomic objects.
 	for _, f := range pass.Files {
-		var walk func(parent, n ast.Node)
-		walk = func(parent, n ast.Node) {
+		var walk func(n ast.Node)
+		walk = func(n ast.Node) {
 			if n == nil {
 				return
 			}
@@ -97,16 +92,10 @@ func runAtomicmix(pass *analysis.Pass) error {
 							renderExpr(e), pass.Fset.Position(use.pos))
 						return
 					}
-					if isAtomicValueCopy(pass, parent, e) {
-						pass.Reportf(e.Pos(),
-							"%s copies a sync/atomic value: atomic values must be used via methods or a pointer, never copied",
-							renderExpr(e))
-						return
-					}
 				}
 				// The selector's field name is handled above; only the
 				// base expression can hold further references.
-				walk(e, e.X)
+				walk(e.X)
 				return
 			case *ast.Ident:
 				obj := pass.TypesInfo.Uses[e]
@@ -117,25 +106,18 @@ func runAtomicmix(pass *analysis.Pass) error {
 					pass.Reportf(e.Pos(),
 						"%s is accessed with sync/atomic at %s but accessed plainly here: every read and write must use atomic operations",
 						e.Name, pass.Fset.Position(use.pos))
-					return
-				}
-				if isAtomicValueCopy(pass, parent, e) {
-					pass.Reportf(e.Pos(),
-						"%s copies a sync/atomic value: atomic values must be used via methods or a pointer, never copied",
-						e.Name)
 				}
 				return
 			}
-			cur := n
 			ast.Inspect(n, func(x ast.Node) bool {
 				if x == nil || x == n {
 					return true
 				}
-				walk(cur, x)
+				walk(x)
 				return false
 			})
 		}
-		walk(nil, f)
+		walk(f)
 	}
 	return nil
 }
@@ -178,35 +160,4 @@ func renderExpr(e ast.Expr) string {
 		return renderExpr(e.X)
 	}
 	return "…"
-}
-
-// isAtomicValueCopy reports whether expression e denotes a value of a
-// sync/atomic named type used in a copying position: anywhere except as
-// a method receiver (parent selector), an address-of target, or a
-// pointer dereference base.
-func isAtomicValueCopy(pass *analysis.Pass, parent ast.Node, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || !tv.IsValue() {
-		return false
-	}
-	t := tv.Type
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return false // pointer to atomic is the correct currency
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		// e is the receiver of a method call or field access: fine.
-		return p.X != e
-	case *ast.UnaryExpr:
-		return p.Op != token.AND
-	case *ast.StarExpr:
-		return false
-	case nil:
-		return false
-	}
-	return true
 }

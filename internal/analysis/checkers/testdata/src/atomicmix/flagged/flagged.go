@@ -6,9 +6,8 @@ package flagged
 import "sync/atomic"
 
 type counters struct {
-	ops   int64
-	gate  uint32
-	fancy atomic.Int64
+	ops  int64
+	gate uint32
 }
 
 var total int64
@@ -41,20 +40,6 @@ func plainGlobal() int64 {
 	return total // want `total is accessed with sync/atomic`
 }
 
-// copyValue smuggles an atomic.Int64's raw word out as a plain int64
-// container.
-func copyValue(c *counters) int64 {
-	snapshot := c.fancy // want `c\.fancy copies a sync/atomic value`
-	return snapshot.Load()
-}
-
-// passByValue copies through an argument.
-func passByValue(c *counters) {
-	sink(c.fancy) // want `c\.fancy copies a sync/atomic value`
-}
-
-func sink(v atomic.Int64) { _ = v.Load() }
-
 func init() {
 	c := &counters{}
 	c.bumpAtomically()
@@ -62,6 +47,4 @@ func init() {
 	c.plainWrite()
 	c.plainIncrement()
 	_ = plainGlobal()
-	_ = copyValue(c)
-	passByValue(c)
 }

@@ -189,10 +189,6 @@ type Config struct {
 	// issue-tracking bitvector update is not bypassed and the shelf head
 	// issues at earliest the following cycle.
 	OptimisticShelf bool
-	// SingleSSR is the §III-B ablation: the shelf checks the IQ SSR
-	// directly instead of a copied shelf SSR, re-exposing the starvation
-	// pathology the paper's two-SSR design avoids.
-	SingleSSR bool
 	// ShelfReleaseAtWriteback is the §III-B ablation: shelf entries are
 	// recycled only at writeback instead of at issue, increasing shelf
 	// occupancy.
@@ -226,13 +222,15 @@ type Config struct {
 	// configuration fields (part of the fingerprint), so ablated runs are
 	// reproducible per-run instead of depending on process-global state.
 	//
-	// AblateNoSSR skips the speculation-shift-register delay checks
-	// (§III-B); AblateNoWAW skips the shelf WAW scoreboard stall (§III-C);
+	// AblateNoWAW skips the shelf WAW scoreboard stall (§III-C);
 	// AblateNoElderStore skips the elder-stores-resolved check for shelf
 	// memory ops (§III-D); AblateNoRunCond skips the issue-tracking run
 	// condition (§III-A); AblateNoRetireCoord skips the ROB-vs-shelf
 	// retirement coordination (§III-B). All default off (full mechanism).
-	AblateNoSSR         bool
+	// The model has no speculation shift registers (§III-B), so it has no
+	// single-SSR or no-SSR ablation either: speculation resolves one cycle
+	// after issue and no op writes back sooner, so the registers could
+	// never delay a writeback (DESIGN.md §4b.3).
 	AblateNoWAW         bool
 	AblateNoElderStore  bool
 	AblateNoRunCond     bool
@@ -249,7 +247,7 @@ type Config struct {
 
 	// CheckInvariants enables the core's per-cycle invariant checker
 	// (free-list conservation, ROB/shelf program order, issue-tracking
-	// bitvector consistency, SSR bounds, doubled shelf-index disjointness,
+	// bitvector consistency, doubled shelf-index disjointness,
 	// LQ/SQ age ordering). A violation aborts the run with a typed
 	// core.InvariantError that supervised runners convert into a
 	// structured failure. Costs roughly 2-3x simulation time.
@@ -466,14 +464,17 @@ func (c *Config) Fingerprint() string {
 	fmt.Fprintf(h, "thr=%d fw=%d w=%d f2d=%d rob=%d iq=%d lq=%d sq=%d prf=%d",
 		c.Threads, c.FetchWidth, c.Width, c.FetchToDispatch,
 		c.ROB, c.IQ, c.LQ, c.SQ, c.PRF)
+	// The sssr slot and the first ab slot held the single-SSR and no-SSR
+	// ablations, since removed; they stay as literal false so fingerprints,
+	// cache keys and stored results taken before the removal stay valid.
 	fmt.Fprintf(h, " shelf=%d opt=%t sssr=%t relwb=%t",
-		c.Shelf, c.OptimisticShelf, c.SingleSSR, c.ShelfReleaseAtWriteback)
+		c.Shelf, c.OptimisticShelf, false, c.ShelfReleaseAtWriteback)
 	fmt.Fprintf(h, " steer=%d rct=%d plt=%d coarse=%d",
 		c.Steer, c.RCTBits, c.PLTLoads, c.CoarseInterval)
 	fmt.Fprintf(h, " alu=%d muldiv=%d fp=%d memp=%d",
 		c.IntALUs, c.IntMultDiv, c.FPUnits, c.MemPorts)
 	fmt.Fprintf(h, " mem={%+v} branch={%+v} ss={%+v}", c.Mem, c.Branch, c.StoreSets)
-	fmt.Fprintf(h, " ab=%t%t%t%t%t", c.AblateNoSSR, c.AblateNoWAW,
+	fmt.Fprintf(h, " ab=%t%t%t%t%t", false, c.AblateNoWAW,
 		c.AblateNoElderStore, c.AblateNoRunCond, c.AblateNoRetireCoord)
 	fmt.Fprintf(h, " tel=%t chk=%t fault=%d fkind=%d rescan=%t asmb=%d name=%q",
 		c.Telemetry, c.CheckInvariants, c.InjectFaultCycle, c.InjectFaultKind,

@@ -114,7 +114,6 @@ func TestFingerprint(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.ROB = 128 },
 		func(c *Config) { c.Steer = SteerAllShelf },
-		func(c *Config) { c.SingleSSR = true },
 		func(c *Config) { c.CheckInvariants = true },
 		func(c *Config) { c.Mem.L1D.Ways *= 2 },
 		func(c *Config) { c.InjectFaultCycle = 99 },

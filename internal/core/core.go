@@ -234,12 +234,6 @@ func (c *Core) Step() {
 
 	// Per-cycle state ticks.
 	for _, t := range c.threads {
-		if t.iqSSR > 0 {
-			t.iqSSR--
-		}
-		if t.shelfSSR > 0 {
-			t.shelfSSR--
-		}
 		t.itHeadSnapshot = t.itHead
 	}
 	c.steerer.Tick(c)

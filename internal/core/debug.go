@@ -15,9 +15,9 @@ func (c *Core) DebugDump() string {
 		fmt.Fprintf(&b, "thread %d: done=%v fetchSeq=%d pulled=%d fetchQ=%d inflight=%d nextFetch=%d blocked=%v\n",
 			t.id, t.done, t.fetchSeq, t.pulled, t.fetchQLen(), len(t.inflight),
 			t.nextFetchCycle, t.fetchBlockedOn != nil)
-		fmt.Fprintf(&b, "  rob[%d,%d) itHead=%d lastIQ=%d shelf[%d,%d) retire=%d ssr(iq=%d shelf=%d)\n",
+		fmt.Fprintf(&b, "  rob[%d,%d) itHead=%d lastIQ=%d shelf[%d,%d) retire=%d\n",
 			t.robHead, t.robAllocPos, t.itHead, t.lastIQPos,
-			t.shelfHead, t.shelfTail, t.shelfRetire, t.iqSSR, t.shelfSSR)
+			t.shelfHead, t.shelfTail, t.shelfRetire)
 		n := len(t.inflight)
 		if n > 12 {
 			n = 12

@@ -136,8 +136,6 @@ func (c *Core) insertWindow(t *thread, u *uop, now int64) {
 		t.shelf[t.shelfSlot(u.shelfIdx)] = u
 		t.shelfTail++
 		u.lastIQROBPos = t.lastIQPos
-		u.firstOfShelfRun = t.lastDispatchToIQ
-		t.lastDispatchToIQ = false
 		t.steerShelf++
 		c.stats.ShelfWrites++
 	} else {
@@ -146,7 +144,6 @@ func (c *Core) insertWindow(t *thread, u *uop, now int64) {
 		t.itIssued[t.robSlot(u.robPos)] = false
 		t.robAllocPos++
 		t.lastIQPos = u.robPos
-		t.lastDispatchToIQ = true
 		// Record the shelf squash index: the index the next shelf
 		// instruction will receive (§III-B).
 		u.shelfSquashIdx = t.shelfTail

@@ -74,3 +74,7 @@ func LoadToLoadWorkload() (config.Config, []isa.Stream) {
 	cfg, p := loadToLoadProgram()
 	return cfg, []isa.Stream{p.stream("load-to-load")}
 }
+
+// RaceEnabled exports raceEnabled to the external test package: its
+// allocation-count assertions skip under the race detector too.
+const RaceEnabled = raceEnabled

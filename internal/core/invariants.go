@@ -42,11 +42,6 @@ func (c *Core) fail(thread int, check, format string, args ...any) {
 	})
 }
 
-// maxSSRDepth bounds the speculation shift registers: a resolution delay
-// beyond this is certainly corrupted state (the deepest legitimate delay is
-// one full memory access plus pipeline latencies).
-const maxSSRDepth = 1 << 20
-
 // checkInvariants runs the per-cycle checker and converts a violation into
 // an InvariantError panic, routing it through the same supervised path as
 // the pipeline's own assertions.
@@ -313,15 +308,6 @@ func (c *Core) checkThread(t *thread) *InvariantError {
 					"issue bit clear for pos %d but op is %v", pos, u.state)
 			}
 		}
-	}
-
-	// SSR depth bounds (§III-B): remaining-cycle counters never negative
-	// and never beyond any legitimate resolution delay.
-	if t.iqSSR < 0 || t.iqSSR > maxSSRDepth {
-		return c.inv(t.id, "ssr-bounds", "IQ SSR %d out of bounds", t.iqSSR)
-	}
-	if t.shelfSSR < 0 || t.shelfSSR > maxSSRDepth {
-		return c.inv(t.id, "ssr-bounds", "shelf SSR %d out of bounds", t.shelfSSR)
 	}
 
 	if t.shelfCap > 0 {

@@ -69,6 +69,26 @@ func TestSquashStatePanicIsTyped(t *testing.T) {
 	}
 }
 
+// TestReplayRangePanicIsTyped: asking the replay buffer for a sequence it
+// has already released (below replayBase) is a pipeline bug, and must
+// surface as a typed replay-range InvariantError naming the thread, not a
+// bare panic or an index-out-of-range.
+func TestReplayRangePanicIsTyped(t *testing.T) {
+	c, err := New(config.Shelf64(2, true), kernelStreams(t, []string{"stream", "ilpmax"}, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t1 := c.threads[1]
+	stepUntil(t, c, 100000, func() bool { return t1.replayBase > 0 })
+	inv := recoverInvariant(t, func() { t1.peekInst(t1.replayBase - 1) })
+	if inv.Check != "replay-range" {
+		t.Errorf("check = %q, want replay-range", inv.Check)
+	}
+	if inv.Thread != 1 {
+		t.Errorf("thread = %d, want 1", inv.Thread)
+	}
+}
+
 // TestRemoveFromIQMissingPanicIsTyped covers the other squash panic path:
 // squashing a dispatched IQ op that is absent from the shared issue queue.
 func TestRemoveFromIQMissingPanicIsTyped(t *testing.T) {

@@ -29,9 +29,9 @@ type fuState struct {
 // stays unissuable for the rest of the cycle (units only fill up within
 // a cycle), so one cursor walks selectq once per cycle. The shelf heads
 // are still evaluated per slot, in thread order and only when elder than
-// the IQ pick, because shelfEligible copies the IQ SSR into the shelf SSR
-// as a side effect and the IQ SSR moves as ops issue. Selection is
-// cycle-exact with issueRescan.
+// the IQ pick, because under the optimistic shelf the run condition reads
+// the live itHead, which moves as IQ ops issue. Selection is cycle-exact
+// with issueRescan.
 func (c *Core) issue(now int64) {
 	if c.cfg.RescanScheduler {
 		c.issueRescan(now)
@@ -155,8 +155,11 @@ func (c *Core) iqReady(u *uop, now int64) bool {
 
 // shelfEligible implements the shelf head issue conditions: the run
 // condition against the issue-tracking head (§III-A), source readiness and
-// the WAW scoreboard stall (§III-C), the speculation shift register delay
-// (§III-B), and, for memory ops, resolved elder store addresses (§III-D).
+// the WAW scoreboard stall (§III-C), and, for memory ops, resolved elder
+// store addresses (§III-D). §III-B's speculation delay needs no check
+// here: every speculation source resolves one cycle after issue and no op
+// writes back sooner, so a shelf op never completes before its elders'
+// speculation resolves (DESIGN.md §4b.3; the squash walk checks it).
 func (c *Core) shelfEligible(t *thread, u *uop, now int64) bool {
 	itRef := t.itHeadSnapshot
 	if c.cfg.OptimisticShelf {
@@ -164,19 +167,6 @@ func (c *Core) shelfEligible(t *thread, u *uop, now int64) bool {
 	}
 	if itRef <= u.lastIQROBPos && !c.cfg.AblateNoRunCond {
 		return false
-	}
-	// First shelf instruction of a run: copy the IQ SSR into the shelf
-	// SSR the moment the run condition is satisfied (§III-B).
-	if u.firstOfShelfRun && !u.ssrCopyDone {
-		t.shelfSSR = t.iqSSR
-		u.ssrCopyDone = true
-	}
-	if c.cfg.SingleSSR {
-		// Ablation: consult the live IQ SSR, which younger reordered
-		// instructions keep pushing up (the starvation pathology).
-		if minExecDelay(u) < t.iqSSR && !c.cfg.AblateNoSSR {
-			return false
-		}
 	}
 	for _, tag := range u.srcTags {
 		if tag >= 0 && !c.tagReady[tag] {
@@ -186,11 +176,6 @@ func (c *Core) shelfEligible(t *thread, u *uop, now int64) bool {
 	// WAW: the previous writer of the destination register must have
 	// written back before we may overwrite its physical register.
 	if u.hasDest() && u.prevTag >= 0 && !c.tagReady[u.prevTag] && !c.cfg.AblateNoWAW {
-		return false
-	}
-	// Speculation delay: the op's earliest possible writeback must fall
-	// after every elder instruction's speculation resolves.
-	if minExecDelay(u) < t.shelfSSR && !c.cfg.AblateNoSSR {
 		return false
 	}
 	// Shelf memory ops require all elder stores' addresses resolved.
@@ -315,19 +300,6 @@ func (c *Core) issueOne(u *uop, now int64) {
 		u.resolveCycle = now + lat
 	default:
 		u.completeCycle = now + lat
-	}
-
-	// Speculation shift register update (§III-B): IQ instructions update
-	// the IQ SSR; shelf speculation sources update both (a shelf branch's
-	// resolution must also delay the following run's copy).
-	if u.speculative {
-		d := u.resolveCycle - now
-		if d > t.iqSSR {
-			t.iqSSR = d
-		}
-		if u.toShelf && d > t.shelfSSR {
-			t.shelfSSR = d
-		}
 	}
 
 	if c.sink != nil {

@@ -124,39 +124,3 @@ func BenchmarkFetchDispatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(c.Stats().Renames-start)/float64(b.N), "dispatches/cycle")
 }
-
-// TestSteadyStateAllocationFree pins down the tentpole's allocation-free
-// claim: once the uop freelist, replay rings and scratch buffers have
-// grown to steady state, the cycle loop must not allocate at all. The
-// retire targets freeze the per-thread series trackers (whose histogram
-// maps are the one legitimately growing structure) before measurement.
-func TestSteadyStateAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	cfg := config.Shelf64(2, true)
-	streams := make([]isa.Stream, 2)
-	for i, name := range []string{"gups", "stencil"} {
-		k, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = k.NewStream(uint64(i+1)<<32, uint64(i)+1, -1)
-	}
-	c, err := New(cfg, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetRetireTargets(1000, 1000)
-	for c.Cycle() < 20_000 {
-		c.Step()
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		for i := 0; i < 100; i++ {
-			c.Step()
-		}
-	})
-	if avg > 0 {
-		t.Errorf("steady-state cycle loop allocates: %.2f allocs per 100 cycles", avg)
-	}
-}

@@ -229,38 +229,3 @@ func TestEventStreamPinned(t *testing.T) {
 			counts['Y'], c.Obs().Cycles, c.Cycle(), wantCycles)
 	}
 }
-
-// TestAblationFingerprints pins each live ablation knob over one 4-thread
-// mix: the ablated run must reproduce its pinned fingerprint and differ
-// from the same run with the knob off. The elder-store check only binds
-// when memory ops reach the shelf, so that row steers everything there.
-// AblateNoSSR has no row: no run tried moves its fingerprint.
-func TestAblationFingerprints(t *testing.T) {
-	kernels := []string{"gups", "fpdense", "prodcons", "callret"}
-	for _, tc := range []struct {
-		name   string
-		steer  config.SteerKind
-		ablate func(*config.Config)
-		want   string
-	}{
-		{"no-waw", config.SteerPractical, func(c *config.Config) { c.AblateNoWAW = true }, "85122b924e768ab3"},
-		{"no-elder-store", config.SteerAllShelf, func(c *config.Config) { c.AblateNoElderStore = true }, "ff291b9dd0264b2b"},
-		{"no-run-cond", config.SteerPractical, func(c *config.Config) { c.AblateNoRunCond = true }, "833ea3964e1708b8"},
-		{"no-retire-coord", config.SteerPractical, func(c *config.Config) { c.AblateNoRetireCoord = true }, "b52ea5b1449f1964"},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := config.Shelf64(4, true)
-			cfg.Steer = tc.steer
-			base := runPinned(t, cfg, kernels, 2000)
-			tc.ablate(&cfg)
-			got := runPinned(t, cfg, kernels, 2000)
-			if got == base {
-				t.Errorf("ablation leaves the fingerprint at %s", base)
-			}
-			if got != tc.want {
-				t.Errorf("fingerprint %s, pinned %s", got, tc.want)
-			}
-		})
-	}
-}

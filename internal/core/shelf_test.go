@@ -8,9 +8,10 @@ import (
 	"shelfsim/internal/obs"
 )
 
-// Tests of the shelf-specific mechanisms: run conditions, SSR delays,
-// retirement coordination, index space management, and the microarchitated
-// timing assumptions.
+// Tests of the shelf-specific mechanisms: run conditions, retirement
+// coordination, index space management, the never-squashed completed
+// shelf op (§III-B, which the model guarantees without speculation shift
+// registers), and the microarchitected timing assumptions.
 
 // TestConservativeNeverFasterThanOptimistic: the conservative design only
 // adds delay (the issue-tracking snapshot), so over any workload it may
@@ -105,28 +106,40 @@ func TestShelfIssueAfterElderIQ(t *testing.T) {
 	}
 }
 
-// TestSingleSSRAblationRuns: the single-SSR design is a strictly more
-// conservative issue filter; it must still complete and not beat the
-// two-SSR design.
-func TestSingleSSRAblationRuns(t *testing.T) {
-	names := []string{"branchy", "stream", "ilpmax", "gups"}
-	two, err := New(config.Shelf64(4, true), kernelStreams(t, names, 1000))
+// TestSquashedCompletedShelfOpIsTyped: a shelf op writes back only once
+// every elder speculation source has resolved (§III-B), so no squash may
+// reach a completed one. The squash walk checks this always. A shelf op
+// retires in the cycle it completes, so the test forges the state on an
+// issued one; squashing it must surface as a typed shelf-squash-completed
+// InvariantError naming the thread and cycle.
+func TestSquashedCompletedShelfOpIsTyped(t *testing.T) {
+	cfg := config.Shelf64(2, true)
+	cfg.Steer = config.SteerAllShelf
+	c, err := New(cfg, kernelStreams(t, []string{"stream", "ptrchase"}, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(t, two, 4_000_000)
-
-	cfg := config.Shelf64(4, true)
-	cfg.SingleSSR = true
-	cfg.Name = "shelf64-singlessr"
-	one, err := New(cfg, kernelStreams(t, names, 1000))
-	if err != nil {
-		t.Fatal(err)
+	t1 := c.threads[1]
+	var victim *uop
+	stepUntil(t, c, 10000, func() bool {
+		for _, u := range t1.inflight {
+			if u.toShelf && u.state == stateIssued {
+				victim = u
+				return true
+			}
+		}
+		return false
+	})
+	victim.state = stateCompleted
+	inv := recoverInvariant(t, func() { c.squash(t1, victim.seq, obs.SquashMemOrder, c.cycle) })
+	if inv.Check != "shelf-squash-completed" {
+		t.Errorf("check = %q, want shelf-squash-completed", inv.Check)
 	}
-	run(t, one, 8_000_000)
-	if one.Cycle() < two.Cycle()*98/100 {
-		t.Errorf("single SSR (%d cycles) beat the two-SSR design (%d)",
-			one.Cycle(), two.Cycle())
+	if inv.Thread != 1 {
+		t.Errorf("thread = %d, want 1", inv.Thread)
+	}
+	if inv.Cycle != c.Cycle() || inv.Cycle == 0 {
+		t.Errorf("cycle = %d, want %d", inv.Cycle, c.Cycle())
 	}
 }
 

@@ -63,7 +63,6 @@ func (c *Core) squash(t *thread, fromSeq int64, cause obs.SquashCause, now int64
 		if t.shelfHead > t.shelfTail {
 			t.shelfHead = t.shelfTail
 		}
-		t.shelfSSRCopied = false
 	}
 	// lastIQPos must not point at a rolled-back position.
 	if t.lastIQPos >= t.robAllocPos {
@@ -73,13 +72,6 @@ func (c *Core) squash(t *thread, fromSeq int64, cause obs.SquashCause, now int64
 	// LQ/SQ rollback (suffixes in program order).
 	t.lq = truncateQueue(t.lq, fromSeq)
 	t.sq = truncateQueue(t.sq, fromSeq)
-
-	// Restore the run-tracking flag to the last surviving dispatch.
-	if len(t.inflight) == 0 {
-		t.lastDispatchToIQ = true
-	} else {
-		t.lastDispatchToIQ = !t.inflight[len(t.inflight)-1].toShelf
-	}
 
 	// Fetch rewind.
 	t.fetchSeq = fromSeq
@@ -149,8 +141,15 @@ func (c *Core) squashOne(t *thread, u *uop, minROBPos, minShelfIdx *int64) {
 		}
 	case stateCompleted:
 		// Completed but unretired IQ op: discard (its ROB slot rolls
-		// back). Retired/completed shelf ops cannot be squashed: they
-		// write back only once non-speculative.
+		// back). A shelf op writes back only once non-speculative
+		// (§III-B): every elder speculation source resolves one cycle
+		// after issue and no op completes sooner, so a completed shelf op
+		// is never squashed (once it retires at writeback, the
+		// squash-state arm below catches the same fault). Squashes are
+		// rare, so the check is always on.
+		if u.toShelf {
+			c.fail(t.id, "shelf-squash-completed", "squash reached completed shelf op %v", u)
+		}
 		u.state = stateSquashed
 		c.squashScratch = append(c.squashScratch, u)
 		if !u.toShelf && (*minROBPos < 0 || u.robPos < *minROBPos) {

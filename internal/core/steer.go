@@ -44,22 +44,12 @@ func predLatency(u *uop) uint32 {
 	return uint32(u.inst.Op.Latency())
 }
 
-// resolutionDelay is the predicted cycles from issue to speculation
-// resolution for speculation sources, or 0.
-func resolutionDelay(u *uop) uint32 {
-	switch u.inst.Op {
-	case isa.OpBranch:
-		return uint32(u.inst.Op.Latency())
-	case isa.OpStore:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // practicalSteerer implements §IV-B: Ready Cycle Table prediction with
-// Parent Loads Table recovery and earliest-issue/earliest-writeback shelf
-// trackers. All per-thread state lives on the thread.
+// Parent Loads Table recovery and an earliest-issue shelf tracker. The
+// paper's earliest-writeback tracker is omitted: speculation resolves one
+// cycle after issue and every predicted latency is at least one cycle, so
+// it could never exceed the predicted shelf completion (DESIGN.md §4b.2).
+// All per-thread state lives on the thread.
 type practicalSteerer struct{}
 
 func (practicalSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
@@ -83,18 +73,13 @@ func (practicalSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
 	issueIQ := srcMax
 	completeIQ := issueIQ + lat
 
-	// Shelf prediction: in-order issue after all previous instructions,
-	// writeback after all previous speculation resolves.
+	// Shelf prediction: in-order issue after all previous instructions.
 	relEI := clampRel(t.earliestIssue-now, rct.Max())
-	relWB := clampRel(t.earliestWB-now, rct.Max())
 	issueShelf := srcMax
 	if relEI > issueShelf {
 		issueShelf = relEI
 	}
 	completeShelf := issueShelf + lat
-	if relWB > completeShelf {
-		completeShelf = relWB
-	}
 
 	// Ties favor the shelf (§IV-A) — except for the op classes where a
 	// mis-shelved instruction has asymmetric cost, which require a strict
@@ -120,11 +105,6 @@ func (practicalSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
 	}
 	if abs := now + int64(issueChosen); abs > t.earliestIssue {
 		t.earliestIssue = abs
-	}
-	if d := resolutionDelay(u); d > 0 {
-		if abs := now + int64(issueChosen+d); abs > t.earliestWB {
-			t.earliestWB = abs
-		}
 	}
 
 	// Parent Loads Table maintenance.
@@ -170,11 +150,11 @@ func (practicalSteerer) Tick(c *Core) {
 		// false and the unfrozen countdowns advance for free. TickPLT
 		// short-circuits that case itself.
 		t.rct.TickPLT(c.cycle, t.plt)
-		// Freeze the shelf-side trackers while any tracked load is late
+		// Freeze the shelf-side tracker while any tracked load is late
 		// (§IV-B schedule recovery): the shelf is a FIFO, so once a late
 		// load's dependence tree is shelved, everything dispatched to the
 		// shelf afterwards issues behind it — the earliest-allowable
-		// trackers are pushed back one cycle per cycle, like every frozen
+		// tracker is pushed back one cycle per cycle, like every frozen
 		// RCT countdown, with a one-cycle floor so new independent work
 		// sees the IQ as strictly earlier.
 		if t.plt.LateShelved() {
@@ -182,11 +162,6 @@ func (practicalSteerer) Tick(c *Core) {
 				t.earliestIssue = c.cycle + 1
 			} else {
 				t.earliestIssue++
-			}
-			if t.earliestWB <= c.cycle {
-				t.earliestWB = c.cycle + 1
-			} else {
-				t.earliestWB++
 			}
 		}
 	}
@@ -210,9 +185,6 @@ func (practicalSteerer) OnSquash(c *Core, t *thread, fromSeq int64) {
 	t.rct.Reset()
 	if t.earliestIssue > c.cycle {
 		t.earliestIssue = c.cycle
-	}
-	if t.earliestWB > c.cycle {
-		t.earliestWB = c.cycle
 	}
 }
 
@@ -251,9 +223,6 @@ func (oracleSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
 	if t.oracleLastIssue > issueShelf {
 		issueShelf = t.oracleLastIssue
 	}
-	if ssrSafe := t.oracleWB - lat; ssrSafe > issueShelf {
-		issueShelf = ssrSafe
-	}
 	// Same strict-win tie-break as the practical mechanism for the op
 	// classes with asymmetric mis-steer cost.
 	toShelf := issueShelf <= issueIQ
@@ -271,11 +240,6 @@ func (oracleSteerer) Steer(c *Core, t *thread, u *uop, now int64) bool {
 	}
 	if issueChosen > t.oracleLastIssue {
 		t.oracleLastIssue = issueChosen
-	}
-	if d := int64(resolutionDelay(u)); d > 0 {
-		if r := issueChosen + d; r > t.oracleWB {
-			t.oracleWB = r
-		}
 	}
 	return toShelf
 }
@@ -311,9 +275,6 @@ func (oracleSteerer) OnComplete(c *Core, t *thread, u *uop) {
 func (oracleSteerer) OnSquash(c *Core, t *thread, fromSeq int64) {
 	if t.oracleLastIssue > c.cycle {
 		t.oracleLastIssue = c.cycle
-	}
-	if t.oracleWB > c.cycle {
-		t.oracleWB = c.cycle
 	}
 }
 

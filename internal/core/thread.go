@@ -47,7 +47,7 @@ func (t *thread) storeBufHas(line uint64, now int64) bool {
 }
 
 // thread holds all per-thread (partitioned) state: front end, ROB/shelf
-// partitions, LQ/SQ partitions, rename tables, SSRs, and steering state.
+// partitions, LQ/SQ partitions, rename tables, and steering state.
 type thread struct {
 	id     int
 	stream isa.Stream
@@ -178,10 +178,6 @@ type thread struct {
 	sqCap int
 	sq    []*uop
 
-	// lastDispatchToIQ tracks whether the thread's most recent dispatch
-	// went to the IQ (the next shelf dispatch then starts a new run).
-	lastDispatchToIQ bool
-
 	// storeBuf models the coalescing store buffer (§III-D, relaxed
 	// model): committed stores linger for storeBufDrainCycles before
 	// draining to the cache; a shelf store matching an undrained entry
@@ -189,24 +185,16 @@ type thread struct {
 	storeBuf    [8]storeBufEntry
 	storeBufPos int
 
-	// Speculation shift registers (§III-B), stored as remaining cycles.
-	iqSSR    int64
-	shelfSSR int64
-	// shelfSSRCopied marks that the current shelf run already copied the
-	// IQ SSR into the shelf SSR.
-	shelfSSRCopied bool
-
 	// Practical steering state (§IV-B).
 	rct *steer.RCT
 	plt *steer.PLT
 	// pltLoads maps PLT columns to their in-flight tracked loads.
 	pltLoads []*uop
-	// earliestIssue/earliestWB are the shelf's earliest-allowable issue
-	// and writeback cycle trackers, stored as absolute cycles. While any
-	// tracked load is late they freeze (are pushed back one cycle per
-	// cycle) along with the rest of the dependence tree (§IV-B).
+	// earliestIssue is the shelf's earliest-allowable issue cycle
+	// tracker, stored as an absolute cycle. While any tracked load is late
+	// it freezes (is pushed back one cycle per cycle) along with the rest
+	// of the dependence tree (§IV-B).
 	earliestIssue int64
-	earliestWB    int64
 
 	// Oracle steering state: absolute actual ready cycles per
 	// architectural register, corrected as execution proceeds (§IV-A).
@@ -214,7 +202,6 @@ type thread struct {
 	// oracleLastIssue is the oracle's view of the most recent predicted
 	// issue cycle (shelf in-order issue constraint).
 	oracleLastIssue int64
-	oracleWB        int64
 
 	// Coarse-grain (MorphCore-style) steering state: the current
 	// wholesale mode and the retirement snapshot at the last switch.
@@ -244,20 +231,19 @@ type thread struct {
 func newThread(c *Core, id int, stream isa.Stream) *thread {
 	cfg := c.cfg
 	t := &thread{
-		id:               id,
-		stream:           stream,
-		pred:             branch.New(cfg.Branch),
-		fetchQCap:        cfg.FetchWidth * cfg.FetchToDispatch,
-		ratPRI:           make([]int32, isa.NumArchRegs),
-		ratTag:           make([]int32, isa.NumArchRegs),
-		robCap:           cfg.ROBPerThread(),
-		lastIQPos:        -1,
-		lastDispatchToIQ: true,
-		warmed:           true, // no warmup unless SetRetireTargets asks
-		lqCap:            cfg.LQPerThread(),
-		sqCap:            cfg.SQPerThread(),
-		series:           metrics.NewSeriesTracker(),
-		oracleReady:      make([]int64, isa.NumArchRegs),
+		id:          id,
+		stream:      stream,
+		pred:        branch.New(cfg.Branch),
+		fetchQCap:   cfg.FetchWidth * cfg.FetchToDispatch,
+		ratPRI:      make([]int32, isa.NumArchRegs),
+		ratTag:      make([]int32, isa.NumArchRegs),
+		robCap:      cfg.ROBPerThread(),
+		lastIQPos:   -1,
+		warmed:      true, // no warmup unless SetRetireTargets asks
+		lqCap:       cfg.LQPerThread(),
+		sqCap:       cfg.SQPerThread(),
+		series:      metrics.NewSeriesTracker(),
+		oracleReady: make([]int64, isa.NumArchRegs),
 	}
 	t.releaseAtWB = cfg.ShelfReleaseAtWriteback
 	robStore := ringSize(t.robCap)

@@ -61,13 +61,6 @@ type uop struct {
 	// prediction-state updates) while the op retries a stalled dispatch.
 	toShelf      bool
 	steerDecided bool
-	// firstOfShelfRun is set on the first shelf instruction after an IQ
-	// instruction of the same thread: it triggers the IQ-SSR -> shelf-SSR
-	// copy when it becomes eligible (§III-B).
-	firstOfShelfRun bool
-	// ssrCopyDone records that this run's IQ-SSR -> shelf-SSR copy has
-	// happened.
-	ssrCopyDone bool
 
 	// Rename results. Tags index the unified tag space (physical tags
 	// followed by the extension space); PRIs index the physical register

@@ -82,8 +82,9 @@ func structBits(cfg *config.Config) float64 {
 	add(cfg.PRF+cfg.Threads*isa.NumArchRegs, prfEntryBytes, 1.2) // multiported
 	if cfg.Shelf > 0 {
 		add(cfg.Shelf, shelfEntryBytes, 1.0)
-		// Extension RAT/free list, SSRs, issue-tracking bitvectors,
-		// RCT (5-bit counters), PLT.
+		// Extension RAT/free list, issue-tracking bitvectors, RCT
+		// (5-bit counters), PLT. The paper's speculation shift registers
+		// are not modeled (DESIGN.md §4b), so they are not counted.
 		add(cfg.Threads*isa.NumArchRegs, 2.0, 1.0)                     // ext RAT
 		add(cfg.ROB, 0.25, 1.0)                                        // issue-tracking bits + retire bits
 		add(cfg.Threads*isa.NumArchRegs, float64(cfg.RCTBits)/8, 1.0)  // RCT

@@ -346,6 +346,32 @@ func TestBadRequest400Field(t *testing.T) {
 	}
 }
 
+// TestRemovedConfigFieldsRejected: the single-SSR and no-SSR ablations
+// left config.Config, so an embedded config that still names either one
+// is a strict-decode schema violation (400), while the same config
+// without it runs.
+func TestRemovedConfigFieldsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cfg := shelfsim.Shelf64(1, true)
+	raw, err := json.Marshal(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(extra string) string {
+		return `{"config":` + strings.TrimSuffix(string(raw), "}") + extra +
+			`},"kernels":["stream"],"insts":100}`
+	}
+	if code, resp := postRaw(t, ts.URL, body("")); code != http.StatusOK {
+		t.Fatalf("control config: HTTP %d: %s", code, resp)
+	}
+	for _, field := range []string{"SingleSSR", "AblateNoSSR"} {
+		code, resp := postRaw(t, ts.URL, body(`,"`+field+`":false`))
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), field) {
+			t.Errorf("config naming %s: HTTP %d: %s", field, code, resp)
+		}
+	}
+}
+
 // TestSweepNDJSONStream drives /v1/sweep end to end: an accepted header
 // event, one result per request (duplicates deduplicated against each
 // other), and a done summary — all as parseable NDJSON lines.

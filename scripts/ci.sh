@@ -31,6 +31,17 @@ done
 
 go test -race ./...
 
+# Paper-scale figure gate: EXPERIMENTS.md quotes experiments_output.txt
+# (28 mixes, 8,000 instructions), while the cmd/experiments golden tests
+# pin only 1,000 x 3. A non-race build regenerates every figure at paper
+# scale (~60 s on 2 vCPUs) and its stdout must match the checked-in file
+# byte for byte, so a change that moves the quoted numbers fails here.
+# A change that moves them on purpose regenerates the file and restates
+# EXPERIMENTS.md in the same diff.
+go build -o /tmp/shelfsim-tools/experiments ./cmd/experiments
+/tmp/shelfsim-tools/experiments -exp all -insts 8000 -mixes 28 > /tmp/experiments_output.txt
+cmp /tmp/experiments_output.txt experiments_output.txt
+
 # Programmable-workload gate, explicitly under -race and uncached: every
 # checked-in assembly program (testdata/asm/*.s) must assemble, simulate
 # and match the fingerprints pinned in testdata/asm/golden.json — both the
