@@ -53,6 +53,16 @@ type Options struct {
 // length, by re-running the same deterministic emulator; a program that
 // is only fingerprinted (a cache hit) never allocates one.
 type Program struct {
+	image
+
+	schedOnce sync.Once
+	sched     []isa.Inst
+}
+
+// image is everything assembly computes. It is immutable once assembled,
+// so the assembly memo shares one image between every Program it hands
+// out for the same source.
+type image struct {
 	name  string
 	bound int64
 	insts []Instruction
@@ -63,14 +73,28 @@ type Program struct {
 	pcBase   uint64
 	fp       string
 	schedLen int
-
-	schedOnce sync.Once
-	sched     []isa.Inst
 }
 
 // Assemble lexes, parses, resolves and emulates one program, computing
-// its schedule fingerprint. Every failure is a positioned *Error.
+// its schedule fingerprint. Every failure is a positioned *Error. A
+// source assembled before in this process is answered from the memo
+// (memo.go) with a fresh Program equal to what assembling it again
+// would give.
 func Assemble(src string, opt Options) (*Program, error) {
+	key := memoKey{src: src, maxSchedule: opt.MaxSchedule}
+	if img, ok := assembled.get(key); ok {
+		return &Program{image: img}, nil
+	}
+	p, err := assemble(src, opt)
+	if err != nil {
+		return nil, err
+	}
+	assembled.put(key, p.image)
+	return p, nil
+}
+
+// assemble is Assemble without the memo.
+func assemble(src string, opt Options) (*Program, error) {
 	f, perr := parse(src)
 	if perr != nil {
 		return nil, perr
@@ -94,7 +118,7 @@ func Assemble(src string, opt Options) (*Program, error) {
 		return nil, errf(pos, ".loop bound %d exceeds the limit %d", bound, maxSched)
 	}
 
-	p := &Program{name: f.Name, bound: bound, insts: f.Insts}
+	p := &Program{image: image{name: f.Name, bound: bound, insts: f.Insts}}
 	p.pcBase = pcRegion | (staticHash(f.Name, bound, f.Insts)&0xffff)<<6
 	p.code = decode(p.insts, p.pcBase)
 	h := newScheduleHasher(p.code)

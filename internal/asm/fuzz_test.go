@@ -4,7 +4,8 @@ import (
 	"testing"
 )
 
-// FuzzAssemble is the front end's totality and canonicality fuzz target:
+// FuzzAssemble is the front end's totality and canonicality fuzz target.
+// It runs the uncached assembler, so every input is really assembled:
 //
 //  1. Assemble never panics, whatever the input — every failure is a
 //     positioned *Error with 1-based coordinates.
@@ -44,7 +45,7 @@ func FuzzAssemble(f *testing.F) {
 		// Bound the schedule so adversarial .loop bounds don't turn the
 		// fuzzer into a long-running emulator.
 		opt := Options{MaxSchedule: 4096}
-		p, err := Assemble(src, opt) // must not panic
+		p, err := assemble(src, opt) // must not panic
 		if err != nil {
 			var ae *Error
 			if !asError(err, &ae) {
@@ -61,7 +62,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		checkAgainstReference(t, p)
 		canon := p.String()
-		p2, err2 := Assemble(canon, opt)
+		p2, err2 := assemble(canon, opt)
 		if err2 != nil {
 			t.Fatalf("canonical form does not re-assemble: %v\nsource: %q\ncanonical:\n%s", err2, src, canon)
 		}

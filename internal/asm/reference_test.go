@@ -340,7 +340,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 	names, srcs := testdataPrograms(t)
 	for i, src := range srcs {
 		t.Run(names[i], func(t *testing.T) {
-			checkAgainstReference(t, mustAssemble(t, src))
+			checkAgainstReference(t, mustAssembleUncached(t, src))
 		})
 	}
 }
@@ -461,7 +461,7 @@ fill:
 func TestMemoryEdges(t *testing.T) {
 	for name, src := range memoryEdgePrograms {
 		t.Run(name, func(t *testing.T) {
-			checkAgainstReference(t, mustAssemble(t, src))
+			checkAgainstReference(t, mustAssembleUncached(t, src))
 		})
 	}
 	if m := run(t, memoryEdgePrograms["many-pages"]); len(m.pages) != maxPages || len(m.spill) == 0 {
@@ -532,7 +532,7 @@ func opcodeProgram() string {
 // TestEveryOpcodeMatchesReference checks the pre-decoded emulator
 // against the reference over every mnemonic and boundary operands.
 func TestEveryOpcodeMatchesReference(t *testing.T) {
-	p := mustAssemble(t, opcodeProgram())
+	p := mustAssembleUncached(t, opcodeProgram())
 	t.Logf("%d static, %d dynamic instructions", p.StaticLen(), p.ScheduleLen())
 	checkAgainstReference(t, p)
 }

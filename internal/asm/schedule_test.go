@@ -59,9 +59,9 @@ func TestAssembleAllocsIndependentOfScheduleLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mustAssemble(t, string(src))
+	p := mustAssembleUncached(t, string(src))
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Assemble(string(src), Options{}); err != nil {
+		if _, err := assemble(string(src), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -105,10 +105,10 @@ func TestConcurrentNewStream(t *testing.T) {
 	}
 }
 
-// BenchmarkAssemble measures the asm assembly layer: lexing, parsing and
-// fingerprinting the four testdata/asm programs, as shelfd does for every
-// request that carries them. insts/op is the dynamic instructions
-// emulated per op.
+// BenchmarkAssemble measures the asm assembly layer on a memo miss:
+// lexing, parsing and fingerprinting the four testdata/asm programs, as
+// shelfd does the first time a request carries them. insts/op is the
+// dynamic instructions emulated per op.
 func BenchmarkAssemble(b *testing.B) {
 	_, srcs := testdataPrograms(b)
 	b.ReportAllocs()
@@ -116,7 +116,7 @@ func BenchmarkAssemble(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		insts = 0
 		for _, src := range srcs {
-			p, err := Assemble(src, Options{})
+			p, err := assemble(src, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,7 +1,8 @@
 // Package branch implements the front-end branch prediction substrate used
-// by the core: a gshare direction predictor, a branch target buffer, and a
-// return address stack, each maintained per SMT thread (the paper partitions
-// front-end state across threads).
+// by the core: a gshare direction predictor and a branch target buffer,
+// each maintained per SMT thread (the paper partitions front-end state
+// across threads). Returns are predicted through the BTB like any taken
+// branch; there is no return address stack.
 package branch
 
 import "fmt"
@@ -12,14 +13,12 @@ type Config struct {
 	GshareBits uint
 	// BTBEntries is the number of direct-mapped BTB entries.
 	BTBEntries int
-	// RASEntries is the return address stack depth.
-	RASEntries int
 }
 
 // DefaultConfig returns a predictor comparable to the paper's baseline
 // front end.
 func DefaultConfig() Config {
-	return Config{GshareBits: 14, BTBEntries: 4096, RASEntries: 16}
+	return Config{GshareBits: 14, BTBEntries: 4096}
 }
 
 // Validate reports a configuration error, if any.
@@ -29,8 +28,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("branch: gshare bits %d out of range", c.GshareBits)
 	case c.BTBEntries <= 0:
 		return fmt.Errorf("branch: non-positive BTB size %d", c.BTBEntries)
-	case c.RASEntries <= 0:
-		return fmt.Errorf("branch: non-positive RAS depth %d", c.RASEntries)
 	}
 	return nil
 }
@@ -63,8 +60,6 @@ type Predictor struct {
 	pht     []uint8 // 2-bit saturating counters
 	history uint64
 	btb     []btbEntry
-	ras     []uint64
-	rasTop  int
 	// Stats is exported for harness reporting.
 	Stats Stats
 }
@@ -78,7 +73,6 @@ func New(cfg Config) *Predictor {
 		cfg: cfg,
 		pht: make([]uint8, 1<<cfg.GshareBits),
 		btb: make([]btbEntry, cfg.BTBEntries),
-		ras: make([]uint64, cfg.RASEntries),
 	}
 }
 
@@ -140,19 +134,6 @@ func (p *Predictor) Resolve(pc uint64, taken bool, target uint64, mispredicted b
 		// younger speculative bits belong to squashed fetches.
 		p.history = (token << 1) | boolBit(taken)
 	}
-}
-
-// PushRAS records a call's return address.
-func (p *Predictor) PushRAS(returnPC uint64) {
-	p.rasTop = (p.rasTop + 1) % len(p.ras)
-	p.ras[p.rasTop] = returnPC
-}
-
-// PopRAS predicts a return target.
-func (p *Predictor) PopRAS() uint64 {
-	v := p.ras[p.rasTop]
-	p.rasTop = (p.rasTop - 1 + len(p.ras)) % len(p.ras)
-	return v
 }
 
 func boolBit(b bool) uint64 {

@@ -11,10 +11,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	bads := []Config{
-		{GshareBits: 0, BTBEntries: 8, RASEntries: 8},
-		{GshareBits: 30, BTBEntries: 8, RASEntries: 8},
-		{GshareBits: 10, BTBEntries: 0, RASEntries: 8},
-		{GshareBits: 10, BTBEntries: 8, RASEntries: 0},
+		{GshareBits: 0, BTBEntries: 8},
+		{GshareBits: 30, BTBEntries: 8},
+		{GshareBits: 10, BTBEntries: 0},
 	}
 	for i, cfg := range bads {
 		if err := cfg.Validate(); err == nil {
@@ -118,18 +117,6 @@ func TestRandomOutcomesMispredictHeavily(t *testing.T) {
 	}
 }
 
-func TestRAS(t *testing.T) {
-	p := New(DefaultConfig())
-	p.PushRAS(0x100)
-	p.PushRAS(0x200)
-	if got := p.PopRAS(); got != 0x200 {
-		t.Errorf("PopRAS = %#x, want 0x200", got)
-	}
-	if got := p.PopRAS(); got != 0x100 {
-		t.Errorf("PopRAS = %#x, want 0x100", got)
-	}
-}
-
 func TestMispredictRateStat(t *testing.T) {
 	var s Stats
 	if s.MispredictRate() != 0 {
@@ -153,7 +140,7 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 // Property: prediction and resolution never index out of bounds for
 // arbitrary PCs and histories.
 func TestNoPanicsProperty(t *testing.T) {
-	p := New(Config{GshareBits: 6, BTBEntries: 16, RASEntries: 4})
+	p := New(Config{GshareBits: 6, BTBEntries: 16})
 	f := func(pc uint64, taken bool, target uint64) bool {
 		_, misp, tok := p.Predict(pc, taken, target)
 		p.Resolve(pc, taken, target, misp, tok)

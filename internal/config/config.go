@@ -177,7 +177,10 @@ type Config struct {
 	SQ int
 	// PRF is the number of physical registers per register file (one
 	// integer and one FP file of this size each), beyond the per-thread
-	// architectural state.
+	// architectural state. It is an energy-only knob: Validate requires
+	// PRF >= ROB, so a free register always exists for every ROB entry and
+	// rename never stalls on it. It prices the register files in the
+	// energy model (Figs. 13 and 14) and moves no timing.
 	PRF int
 
 	// Shelf is the total shelf capacity (partitioned per thread);
@@ -449,6 +452,21 @@ func (c *Config) Validate() error {
 			return wrapField(sub.field, err)
 		}
 	}
+	if c.Mem.MemLatencyCycles <= 0 {
+		return Fielderrf("Mem.MemLatencyCycles", "non-positive DRAM latency %d", c.Mem.MemLatencyCycles)
+	}
+	// The hierarchy moves whole lines between levels, so every level
+	// shares one line size. The error names the level that disagrees with
+	// the other two, or L1D when all three differ.
+	l1i, l1d, l2 := c.Mem.L1I.LineBytes, c.Mem.L1D.LineBytes, c.Mem.L2.LineBytes
+	switch {
+	case l1i == l1d && l1d != l2:
+		return Fielderrf("Mem.L2.LineBytes", "line size %d differs from the L1s' %d; all levels share one line size", l2, l1d)
+	case l1d != l2 && l1d != l1i:
+		return Fielderrf("Mem.L1D.LineBytes", "line size %d differs from L2's %d; all levels share one line size", l1d, l2)
+	case l1i != l2:
+		return Fielderrf("Mem.L1I.LineBytes", "line size %d differs from L2's %d; all levels share one line size", l1i, l2)
+	}
 	return nil
 }
 
@@ -473,7 +491,11 @@ func (c *Config) Fingerprint() string {
 		c.Steer, c.RCTBits, c.PLTLoads, c.CoarseInterval)
 	fmt.Fprintf(h, " alu=%d muldiv=%d fp=%d memp=%d",
 		c.IntALUs, c.IntMultDiv, c.FPUnits, c.MemPorts)
-	fmt.Fprintf(h, " mem={%+v} branch={%+v} ss={%+v}", c.Mem, c.Branch, c.StoreSets)
+	// The branch struct is written out: RASEntries, since removed, stays
+	// as its only value, 16, so fingerprints, cache keys and stored
+	// results taken before the removal stay valid.
+	fmt.Fprintf(h, " mem={%+v} branch={{GshareBits:%d BTBEntries:%d RASEntries:16}} ss={%+v}",
+		c.Mem, c.Branch.GshareBits, c.Branch.BTBEntries, c.StoreSets)
 	fmt.Fprintf(h, " ab=%t%t%t%t%t", false, c.AblateNoWAW,
 		c.AblateNoElderStore, c.AblateNoRunCond, c.AblateNoRetireCoord)
 	fmt.Fprintf(h, " tel=%t chk=%t fault=%d fkind=%d rescan=%t asmb=%d name=%q",

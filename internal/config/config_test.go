@@ -76,12 +76,39 @@ func TestValidateRejects(t *testing.T) {
 		{"badBranch", func(c *Config) { c.Branch.GshareBits = 0 }},
 		{"badSSets", func(c *Config) { c.StoreSets.MaxSets = 0 }},
 		{"badCache", func(c *Config) { c.Mem.L1D.Ways = 0 }},
+		{"splitLineBytes", func(c *Config) { c.Mem.L1D.LineBytes = 32 }},
+		{"dram0", func(c *Config) { c.Mem.MemLatencyCycles = 0 }},
 	}
 	for _, m := range mutations {
 		cfg := Shelf64(4, true)
 		m.mutate(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", m.name)
+		}
+	}
+}
+
+// TestValidateNamesMemoryField requires every memory setting that
+// mem.NewHierarchy would panic on to fail Validate with a *FieldError
+// naming the field: for line sizes, the level that disagrees with the
+// other two, or L1D when all three differ.
+func TestValidateNamesMemoryField(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Mem.L1D.LineBytes", func(c *Config) { c.Mem.L1D.LineBytes = 32 }},
+		{"Mem.L1I.LineBytes", func(c *Config) { c.Mem.L1I.LineBytes = 128 }},
+		{"Mem.L2.LineBytes", func(c *Config) { c.Mem.L2.LineBytes = 128 }},
+		{"Mem.L1D.LineBytes", func(c *Config) { c.Mem.L1I.LineBytes, c.Mem.L1D.LineBytes = 32, 128 }},
+		{"Mem.MemLatencyCycles", func(c *Config) { c.Mem.MemLatencyCycles = -1 }},
+	} {
+		cfg := Base64(1)
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		fe, ok := err.(*FieldError)
+		if !ok || fe.Field != tc.field {
+			t.Errorf("want a *FieldError naming %s, got %v", tc.field, err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -346,10 +347,28 @@ func TestBadRequest400Field(t *testing.T) {
 	}
 }
 
+// TestSplitLineSizes400Field: an embedded config whose cache levels
+// disagree on the line size is a 400 naming the line size, not a
+// simulation failure.
+func TestSplitLineSizes400Field(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cfg := shelfsim.Base64(1)
+	cfg.Mem.L1D.LineBytes = 32
+	raw, err := json.Marshal(shelfsim.Request{Config: &cfg, Kernels: []string{"stream"}, Insts: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postRaw(t, ts.URL, string(raw))
+	var eb ErrorBody
+	if code != http.StatusBadRequest || json.Unmarshal(body, &eb) != nil || eb.Field != "Mem.L1D.LineBytes" {
+		t.Fatalf("HTTP %d: %s", code, body)
+	}
+}
+
 // TestRemovedConfigFieldsRejected: the single-SSR and no-SSR ablations
-// left config.Config, so an embedded config that still names either one
-// is a strict-decode schema violation (400), while the same config
-// without it runs.
+// left config.Config, and so did the branch predictor's RASEntries, so
+// an embedded config that still names one of them is a strict-decode
+// schema violation (400), while the same config without it runs.
 func TestRemovedConfigFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cfg := shelfsim.Shelf64(1, true)
@@ -369,6 +388,15 @@ func TestRemovedConfigFieldsRejected(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(string(resp), field) {
 			t.Errorf("config naming %s: HTTP %d: %s", field, code, resp)
 		}
+	}
+	branch := fmt.Sprintf(`"Branch":{"GshareBits":%d,"BTBEntries":%d`, cfg.Branch.GshareBits, cfg.Branch.BTBEntries)
+	if !strings.Contains(string(raw), branch+"}") {
+		t.Fatalf("encoded config has no %s}: %s", branch, raw)
+	}
+	withRAS := strings.Replace(string(raw), branch+"}", branch+`,"RASEntries":16}`, 1)
+	code, resp := postRaw(t, ts.URL, `{"config":`+withRAS+`,"kernels":["stream"],"insts":100}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(resp), "RASEntries") {
+		t.Errorf("config naming Branch.RASEntries: HTTP %d: %s", code, resp)
 	}
 }
 

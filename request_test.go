@@ -128,6 +128,27 @@ func TestRequestResolveFieldErrors(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsSplitLineSizes: a config whose cache levels disagree
+// on the line size is a *FieldError naming the line size at Resolve,
+// not a memory-hierarchy panic at Run.
+func TestResolveRejectsSplitLineSizes(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Mem.L1D.LineBytes", func(c *Config) { c.Mem.L1D.LineBytes = 32 }},
+		{"Mem.L2.LineBytes", func(c *Config) { c.Mem.L2.LineBytes = 128 }},
+	} {
+		cfg := Base64(1)
+		tc.mutate(&cfg)
+		_, err := Request{Config: &cfg, Kernels: []string{"stream"}, Insts: 100}.Resolve()
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("want a *FieldError naming %s, got %v", tc.field, err)
+		}
+	}
+}
+
 // TestRunPresetMatchesEmbeddedConfig checks the two ways of naming a
 // configuration are one run: a preset and the embedded config it resolves
 // to produce bit-identical results for the same workload.

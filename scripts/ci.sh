@@ -77,11 +77,13 @@ go test -run '^$' -fuzz FuzzDecodeReport -fuzztime 10s .
 # Lazy-schedule and reference-emulator race gate, explicitly under -race
 # and repeated: Assemble keeps no schedule, and the first NewStream builds
 # it once behind a sync.Once. Goroutines opening streams on one fresh
-# Program at the same time must race-free replay identical schedules. The
-# pre-decoded emulator and memoized hasher must match the reference
+# Program at the same time must race-free replay identical schedules, and
+# goroutines assembling one new source through the assembly memo at the
+# same time must each get a Program that replays like the uncached one.
+# The pre-decoded emulator and memoized hasher must match the reference
 # emulator and fmt formula on the testdata programs, every opcode and the
 # memory edge cases.
-go test -race -count=10 -run 'TestConcurrentNewStream|TestFingerprintMatchesReference|TestEveryOpcodeMatchesReference|TestMemoryEdges' ./internal/asm/
+go test -race -count=10 -run 'TestConcurrentNewStream|TestConcurrentAssemble|TestFingerprintMatchesReference|TestEveryOpcodeMatchesReference|TestMemoryEdges' ./internal/asm/
 
 # Supervised-run fuzz, same fixed budget: over fuzzed kernel selections,
 # stream seeds and thread counts with the invariant checker on, no panic
