@@ -6,9 +6,9 @@ package config
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"shelfsim/internal/branch"
+	"shelfsim/internal/fptext"
 	"shelfsim/internal/mem"
 	"shelfsim/internal/storesets"
 )
@@ -478,32 +478,77 @@ func (c *Config) Validate() error {
 // configurations sharing a name but differing in any field would
 // otherwise silently alias results.
 func (c *Config) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "thr=%d fw=%d w=%d f2d=%d rob=%d iq=%d lq=%d sq=%d prf=%d",
-		c.Threads, c.FetchWidth, c.Width, c.FetchToDispatch,
-		c.ROB, c.IQ, c.LQ, c.SQ, c.PRF)
+	// The text is the one referenceFingerprint (fingerprint_test.go)
+	// writes with fmt; 1 KiB holds it for any realistic Name.
+	var buf [1024]byte
+	t := fptext.Text(buf[:0]).
+		Int("thr=", int64(c.Threads)).
+		Int(" fw=", int64(c.FetchWidth)).
+		Int(" w=", int64(c.Width)).
+		Int(" f2d=", int64(c.FetchToDispatch)).
+		Int(" rob=", int64(c.ROB)).
+		Int(" iq=", int64(c.IQ)).
+		Int(" lq=", int64(c.LQ)).
+		Int(" sq=", int64(c.SQ)).
+		Int(" prf=", int64(c.PRF))
 	// The sssr slot and the first ab slot held the single-SSR and no-SSR
 	// ablations, since removed; they stay as literal false so fingerprints,
 	// cache keys and stored results taken before the removal stay valid.
-	fmt.Fprintf(h, " shelf=%d opt=%t sssr=%t relwb=%t",
-		c.Shelf, c.OptimisticShelf, false, c.ShelfReleaseAtWriteback)
-	fmt.Fprintf(h, " steer=%d rct=%d plt=%d coarse=%d",
-		c.Steer, c.RCTBits, c.PLTLoads, c.CoarseInterval)
-	fmt.Fprintf(h, " alu=%d muldiv=%d fp=%d memp=%d",
-		c.IntALUs, c.IntMultDiv, c.FPUnits, c.MemPorts)
-	// The branch struct is written out: RASEntries, since removed, stays
-	// as its only value, 16, so fingerprints, cache keys and stored
-	// results taken before the removal stay valid.
-	fmt.Fprintf(h, " mem={%+v} branch={{GshareBits:%d BTBEntries:%d RASEntries:16}} ss={%+v}",
-		c.Mem, c.Branch.GshareBits, c.Branch.BTBEntries, c.StoreSets)
-	fmt.Fprintf(h, " ab=%t%t%t%t%t", false, c.AblateNoWAW,
-		c.AblateNoElderStore, c.AblateNoRunCond, c.AblateNoRetireCoord)
-	fmt.Fprintf(h, " tel=%t chk=%t fault=%d fkind=%d rescan=%t asmb=%d name=%q",
-		c.Telemetry, c.CheckInvariants, c.InjectFaultCycle, c.InjectFaultKind,
-		c.RescanScheduler, c.AsmScheduleBound, c.Name)
-	fmt.Fprintf(h, " cores=%d alloc=%d lockstep=%t epoch=%d migc=%d l2share=%d",
-		c.NumCores, c.AllocPolicy, c.ChipLockstep, c.ChipEpoch, c.MigrationCost, c.L2SharePenalty)
-	return fmt.Sprintf("%016x", h.Sum64())
+	t = t.Int(" shelf=", int64(c.Shelf)).
+		Bool(" opt=", c.OptimisticShelf).
+		Key(" sssr=false").
+		Bool(" relwb=", c.ShelfReleaseAtWriteback).
+		Uint(" steer=", uint64(c.Steer)).
+		Uint(" rct=", uint64(c.RCTBits)).
+		Int(" plt=", int64(c.PLTLoads)).
+		Int(" coarse=", c.CoarseInterval).
+		Int(" alu=", int64(c.IntALUs)).
+		Int(" muldiv=", int64(c.IntMultDiv)).
+		Int(" fp=", int64(c.FPUnits)).
+		Int(" memp=", int64(c.MemPorts))
+	// mem and ss are the %+v renderings of the substrate configs. The
+	// branch struct is written out: RASEntries, since removed, stays as its
+	// only value, 16, so fingerprints, cache keys and stored results taken
+	// before the removal stay valid.
+	t = appendCacheConfig(t, " mem={{L1I:", &c.Mem.L1I)
+	t = appendCacheConfig(t, " L1D:", &c.Mem.L1D)
+	t = appendCacheConfig(t, " L2:", &c.Mem.L2)
+	t = t.Int(" MemLatencyCycles:", int64(c.Mem.MemLatencyCycles)).
+		Int(" PrefetchNextLines:", int64(c.Mem.PrefetchNextLines)).
+		Uint("}} branch={{GshareBits:", uint64(c.Branch.GshareBits)).
+		Int(" BTBEntries:", int64(c.Branch.BTBEntries)).
+		Int(" RASEntries:16}} ss={{SSITEntries:", int64(c.StoreSets.SSITEntries)).
+		Int(" MaxSets:", int64(c.StoreSets.MaxSets)).
+		Key("}} ab=false").
+		Bool("", c.AblateNoWAW).
+		Bool("", c.AblateNoElderStore).
+		Bool("", c.AblateNoRunCond).
+		Bool("", c.AblateNoRetireCoord)
+	t = t.Bool(" tel=", c.Telemetry).
+		Bool(" chk=", c.CheckInvariants).
+		Int(" fault=", c.InjectFaultCycle).
+		Uint(" fkind=", uint64(c.InjectFaultKind)).
+		Bool(" rescan=", c.RescanScheduler).
+		Int(" asmb=", c.AsmScheduleBound).
+		Quote(" name=", c.Name).
+		Int(" cores=", int64(c.NumCores)).
+		Uint(" alloc=", uint64(c.AllocPolicy)).
+		Bool(" lockstep=", c.ChipLockstep).
+		Int(" epoch=", c.ChipEpoch).
+		Int(" migc=", c.MigrationCost).
+		Int(" l2share=", c.L2SharePenalty)
+	return t.Sum()
+}
+
+// appendCacheConfig appends key and cc as %+v.
+func appendCacheConfig(t fptext.Text, key string, cc *mem.CacheConfig) fptext.Text {
+	return t.Key(key).Str("{Name:", cc.Name).
+		Int(" SizeBytes:", int64(cc.SizeBytes)).
+		Int(" Ways:", int64(cc.Ways)).
+		Int(" LineBytes:", int64(cc.LineBytes)).
+		Int(" LatencyCycles:", int64(cc.LatencyCycles)).
+		Int(" MSHRs:", int64(cc.MSHRs)).
+		Key("}")
 }
 
 // ROBPerThread returns the per-thread ROB partition size.

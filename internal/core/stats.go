@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
-
+	"shelfsim/internal/fptext"
 	"shelfsim/internal/isa"
 	"shelfsim/internal/mem"
 	"shelfsim/internal/metrics"
@@ -166,18 +164,91 @@ type Result struct {
 // schedulers must produce identical fingerprints — the runner's scheduler
 // differential asserts exactly that.
 func (r *Result) Fingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "cfg=%s cycles=%d stats=%+v", r.Config, r.Cycles, r.Stats)
-	fmt.Fprintf(h, " l1i=%+v l1d=%+v l2=%+v", r.L1I, r.L1D, r.L2)
+	// The text is the one referenceFingerprint (fingerprint_test.go)
+	// writes with fmt; 4 KiB holds it for sixteen threads.
+	var buf [4096]byte
+	t := fptext.Text(buf[:0]).Str("cfg=", r.Config).Int(" cycles=", r.Cycles)
+	t = r.Stats.appendText(t.Key(" stats="))
+	t = appendCacheStats(t.Key(" l1i="), &r.L1I)
+	t = appendCacheStats(t.Key(" l1d="), &r.L1D)
+	t = appendCacheStats(t.Key(" l2="), &r.L2)
 	for i := range r.Threads {
-		t := &r.Threads[i]
-		fmt.Fprintf(h, " t%d={%s %d %d %d %.17g %.17g %.17g %d %d %d %d %d %d %d}",
-			i, t.Workload, t.Retired, t.Fetched, t.FinishCycle,
-			t.CPI, t.InSeqFraction, t.ShelfFraction,
-			t.SteerShelf, t.SteerIQ, t.Squashes, t.Mispredicts,
-			t.MemViolations, t.LoadForwards, t.StoreCoalesce)
+		th := &r.Threads[i]
+		t = t.Int(" t", int64(i)).
+			Str("={", th.Workload).
+			Int(" ", th.Retired).
+			Int(" ", th.Fetched).
+			Int(" ", th.FinishCycle).
+			Float(" ", th.CPI).
+			Float(" ", th.InSeqFraction).
+			Float(" ", th.ShelfFraction).
+			Int(" ", th.SteerShelf).
+			Int(" ", th.SteerIQ).
+			Int(" ", th.Squashes).
+			Int(" ", th.Mispredicts).
+			Int(" ", th.MemViolations).
+			Int(" ", th.LoadForwards).
+			Int(" ", th.StoreCoalesce).
+			Key("}")
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return t.Sum()
+}
+
+// appendText appends s as %+v.
+func (s *Stats) appendText(t fptext.Text) fptext.Text {
+	return t.Int("{Cycles:", s.Cycles).
+		Int(" Fetched:", s.Fetched).
+		Int(" Renames:", s.Renames).
+		Int(" Issues:", s.Issues).
+		Int(" Retired:", s.Retired).
+		Int(" ShelfIssues:", s.ShelfIssues).
+		Int(" Squashes:", s.Squashes).
+		Int(" SquashedWritebacksFiltered:", s.SquashedWritebacksFiltered).
+		Int(" IQWrites:", s.IQWrites).
+		Int(" IQReads:", s.IQReads).
+		Int(" TagBroadcasts:", s.TagBroadcasts).
+		Int(" ROBWrites:", s.ROBWrites).
+		Int(" ROBReads:", s.ROBReads).
+		Int(" ShelfWrites:", s.ShelfWrites).
+		Int(" ShelfReads:", s.ShelfReads).
+		Int(" LSQWrites:", s.LSQWrites).
+		Int(" LSQSearches:", s.LSQSearches).
+		Int(" PRFReads:", s.PRFReads).
+		Int(" PRFWrites:", s.PRFWrites).
+		Int(" RCTReads:", s.RCTReads).
+		Int(" RCTWrites:", s.RCTWrites).
+		Int(" IQDispatchStalls:", s.IQDispatchStalls).
+		Int(" ShelfDispatchStalls:", s.ShelfDispatchStalls).
+		Int(" LSQDispatchStalls:", s.LSQDispatchStalls).
+		Int(" PRFDispatchStalls:", s.PRFDispatchStalls).
+		Int(" ExtTagStalls:", s.ExtTagStalls).
+		Int(" ROBShelfWaits:", s.ROBShelfWaits).
+		Int(" LoadForwards:", s.LoadForwards).
+		Uints(" LoadsByLevel:", s.LoadsByLevel[:]).
+		Ints(" FUOps:", s.FUOps[:]).
+		Int(" IQOccupancy:", s.IQOccupancy).
+		Int(" ROBOccupancy:", s.ROBOccupancy).
+		Int(" ShelfOccupancy:", s.ShelfOccupancy).
+		Int(" LQOccupancy:", s.LQOccupancy).
+		Int(" SQOccupancy:", s.SQOccupancy).
+		Int(" PRFOccupancy:", s.PRFOccupancy).
+		Int(" ExtTagOccupancy:", s.ExtTagOccupancy).
+		Key("}")
+}
+
+// appendCacheStats appends cs as %+v.
+func appendCacheStats(t fptext.Text, cs *mem.CacheStats) fptext.Text {
+	return t.Uint("{Hits:", cs.Hits).
+		Uint(" Misses:", cs.Misses).
+		Uint(" MSHRMerges:", cs.MSHRMerges).
+		Uint(" MSHRStalls:", cs.MSHRStalls).
+		Uint(" Evictions:", cs.Evictions).
+		Uint(" Writebacks:", cs.Writebacks).
+		Uint(" Fills:", cs.Fills).
+		Uint(" WriteHits:", cs.WriteHits).
+		Uint(" WriteMisses:", cs.WriteMisses).
+		Uint(" Prefetches:", cs.Prefetches).
+		Key("}")
 }
 
 // Stats returns a copy of the core-wide counters.

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"shelfsim/internal/config"
@@ -124,7 +125,8 @@ func CacheKey(cfg *config.Config, mix workload.Mix, warmup, insts int64) string 
 // two workload namespaces cannot collide: mix names are kernel names
 // joined with '+', program IDs are "asm[...]".
 func WorkloadCacheKey(cfg *config.Config, workloadID string, warmup, insts int64) string {
-	return fmt.Sprintf("%s/%s/%d/%d", cfg.Fingerprint(), workloadID, warmup, insts)
+	return cfg.Fingerprint() + "/" + workloadID + "/" +
+		strconv.FormatInt(warmup, 10) + "/" + strconv.FormatInt(insts, 10)
 }
 
 // cacheKey keys runs on the harness's own measurement window.

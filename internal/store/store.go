@@ -11,7 +11,8 @@
 // leaves at worst an orphaned temporary that the next Open removes. Open
 // indexes every entry up front (warm restart) and rejects — skips without
 // serving — entries whose schema version this build does not speak, whose
-// JSON is corrupt, or whose content does not match their filename.
+// JSON is corrupt, whose content does not match their filename, or whose
+// outcome fields no longer hash to their result fingerprint.
 //
 // The index records a SHA-256 digest of every entry's bytes, taken when
 // Open validated them or Put wrote them. A read serves the file only if
@@ -51,7 +52,8 @@ type Stats struct {
 	// carried across the last restart.
 	WarmEntries int `json:"warm_entries"`
 	// SkippedOnOpen counts files Open refused to index: foreign schema
-	// versions, corrupt JSON, content/filename mismatches.
+	// versions, corrupt JSON, content/filename mismatches, fields that do
+	// not hash to the result fingerprint.
 	SkippedOnOpen int `json:"skipped_on_open"`
 	// Hits and Misses count Get and GetBytes outcomes; Puts counts stored
 	// results.
@@ -147,9 +149,11 @@ func Open(dir string) (*Store, error) {
 // validateEntry decides whether one on-disk file is a servable entry,
 // returning its cache key ("" when it is not) and its indexed form. A file
 // is rejected when its JSON is corrupt, its schema version is not this
-// build's (DecodeReport enforces that — the QED-style gate: never trust a
-// layer you did not just write), it carries no cache key, or its key does
-// not hash to its own filename.
+// build's (DecodeReport enforces that), it carries no cache key, its key
+// does not hash to its own filename, or its outcome fields do not hash to
+// its result fingerprint — a value altered at rest that is still valid
+// JSON. This is the QED-style gate: never trust a layer you did not just
+// write.
 func (s *Store) validateEntry(name string) (string, entry) {
 	path := filepath.Join(s.dir, name)
 	data, err := os.ReadFile(path)
@@ -160,7 +164,7 @@ func (s *Store) validateEntry(name string) (string, entry) {
 	if err != nil || rep.CacheKey == "" {
 		return "", entry{}
 	}
-	if filepath.Base(s.keyPath(rep.CacheKey)) != name {
+	if filepath.Base(s.keyPath(rep.CacheKey)) != name || rep.CheckResultFingerprint() != nil {
 		return "", entry{}
 	}
 	return rep.CacheKey, entry{path: path, digest: sha256.Sum256(data)}

@@ -129,6 +129,27 @@ func TestFlippedDigitIsAMiss(t *testing.T) {
 	}
 }
 
+// TestFlippedDigitAtRestSkippedOnOpen: an entry altered while no store
+// had it open — one "cycles" digit flipped, still valid JSON with the same
+// cache key, schema version and filename — no longer hashes to its result
+// fingerprint, so Open skips it and a lookup is a miss.
+func TestFlippedDigitAtRestSkippedOnOpen(t *testing.T) {
+	dir := t.TempDir()
+	rep := report(t, 10)
+	if err := open(t, dir).Put(rep.CacheKey, rep); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	flipCyclesDigit(t, s.keyPath(rep.CacheKey))
+	s = open(t, dir)
+	if _, ok := s.Get(rep.CacheKey); ok {
+		t.Fatal("Open indexed an entry altered at rest")
+	}
+	if st := s.Stats(); st.Entries != 0 || st.SkippedOnOpen != 1 || st.Misses != 1 {
+		t.Errorf("altered entry not skipped on open: %+v", st)
+	}
+}
+
 // TestWarmRestart: a second Open over the same directory serves the first
 // process's results — the entry is indexed (WarmEntries) and Get returns a
 // report whose fingerprint is byte-identical to the one stored.
@@ -404,7 +425,8 @@ func TestOpenDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // FuzzStoreOpen: whatever bytes sit in an entry file, under its own name
 // or another, Open does not panic, accounts for every candidate file as
 // indexed or skipped, and serves only reports that decode, carry the key
-// they are served under and hash to their own filename.
+// they are served under, hash to their own filename and whose outcome
+// fields hash to their result fingerprint.
 func FuzzStoreOpen(f *testing.F) {
 	neighbour := report(f, 16)
 	data, err := json.Marshal(report(f, 17))
@@ -464,6 +486,9 @@ func FuzzStoreOpen(f *testing.F) {
 			}
 			if _, err := shelfsim.DecodeReport(body); err != nil {
 				t.Fatalf("key %q served bytes that do not decode: %v", key, err)
+			}
+			if err := rep.CheckResultFingerprint(); err != nil {
+				t.Fatalf("key %q indexed a report whose fingerprint does not recompute: %v", key, err)
 			}
 		}
 	})

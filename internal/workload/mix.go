@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Mix is one multiprogrammed workload: an ordered set of kernels, one per
 // hardware thread.
@@ -13,14 +16,20 @@ type Mix struct {
 
 // Name renders "mix07[ptrchase+stream+...]".
 func (m Mix) Name() string {
-	s := fmt.Sprintf("mix%02d[", m.ID)
+	b := make([]byte, 0, 64)
+	b = append(b, "mix"...)
+	if m.ID >= 0 && m.ID < 10 {
+		b = append(b, '0') // %02d
+	}
+	b = strconv.AppendInt(b, int64(m.ID), 10)
+	b = append(b, '[')
 	for i, k := range m.Kernels {
 		if i > 0 {
-			s += "+"
+			b = append(b, '+')
 		}
-		s += k.Name
+		b = append(b, k.Name...)
 	}
-	return s + "]"
+	return string(append(b, ']'))
 }
 
 // BalancedRandomMixes builds `count` mixes of `threads` kernels each using

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -237,5 +238,24 @@ func TestRNGDistribution(t *testing.T) {
 	}
 	if v := r.intn(0); v != 0 {
 		t.Errorf("intn(0) = %d", v)
+	}
+}
+
+// TestMixNameMatchesFormat: Name writes what fmt's "mix%02d[" plus the
+// '+'-joined kernel names gives, for IDs of any sign and width.
+func TestMixNameMatchesFormat(t *testing.T) {
+	ks := Kernels()
+	for id := -12; id <= 120; id++ {
+		m := Mix{ID: id, Kernels: ks[:id&3]}
+		want := fmt.Sprintf("mix%02d[", id)
+		for i, k := range m.Kernels {
+			if i > 0 {
+				want += "+"
+			}
+			want += k.Name
+		}
+		if got := m.Name(); got != want+"]" {
+			t.Fatalf("Name() = %q, want %q", got, want+"]")
+		}
 	}
 }

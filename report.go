@@ -138,11 +138,58 @@ func RunReport(ctx context.Context, req Request) (Report, error) {
 	return NewReport(rv, res), nil
 }
 
-// DecodeReport parses a wire Report and enforces the schema version.
+// CheckResultFingerprint recomputes the result fingerprint from the
+// report's own outcome fields, as NewReport computed it from the run's
+// Result, and returns an error if it differs from ResultFingerprint: a
+// report altered after it was made (a flipped digit at rest) fails it.
+// DecodeReport does not call it; a reader that must not trust the layer
+// below it (the store's Open) does.
+func (r *Report) CheckResultFingerprint() error {
+	res := Result{
+		Config:  r.Config,
+		Cycles:  r.Cycles,
+		Stats:   r.Stats,
+		Threads: make([]ThreadResult, len(r.Threads)),
+		L1I:     r.L1I,
+		L1D:     r.L1D,
+		L2:      r.L2,
+	}
+	for i := range r.Threads {
+		t := &r.Threads[i]
+		res.Threads[i] = ThreadResult{
+			Workload:      t.Workload,
+			Retired:       t.Retired,
+			Fetched:       t.Fetched,
+			FinishCycle:   t.FinishCycle,
+			CPI:           t.CPI,
+			InSeqFraction: t.InSeqFraction,
+			ShelfFraction: t.ShelfFraction,
+			SteerShelf:    t.SteerShelf,
+			SteerIQ:       t.SteerIQ,
+			Squashes:      t.Squashes,
+			Mispredicts:   t.Mispredicts,
+			MemViolations: t.MemViolations,
+			LoadForwards:  t.LoadForwards,
+			StoreCoalesce: t.StoreCoalesce,
+		}
+	}
+	if fp := res.Fingerprint(); fp != r.ResultFingerprint {
+		return fmt.Errorf("shelfsim: report result fingerprint %s, its fields hash to %s", r.ResultFingerprint, fp)
+	}
+	return nil
+}
+
+// DecodeReport parses a wire Report and enforces the schema version. The
+// encoding json.Marshal gives a Report is read in one pass (see
+// report_decode.go); any other input is read by json.Unmarshal, which
+// defines the result for every input.
 func DecodeReport(data []byte) (Report, error) {
 	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return rep, fmt.Errorf("shelfsim: decoding report: %w", err)
+	if !decodeFast(data, &rep) {
+		rep = Report{}
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return rep, fmt.Errorf("shelfsim: decoding report: %w", err)
+		}
 	}
 	if rep.SchemaVersion != SchemaVersion {
 		return rep, fmt.Errorf("shelfsim: report schema version %d, this build reads %d",

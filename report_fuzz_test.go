@@ -8,12 +8,18 @@ import (
 	"testing"
 )
 
-// FuzzDecodeReport feeds arbitrary bytes to DecodeReport, the reader of
-// every stored and served report: it must never panic, every report it
-// accepts carries this build's SchemaVersion, and re-encoding is a
-// fixpoint — marshalling the decoded report, decoding that and marshalling
-// again yields the same bytes, so a report read from disk or the wire
-// re-serves byte-identically.
+// FuzzDecodeReport is a differential: for any bytes, DecodeReport and
+// referenceDecode (json.Unmarshal plus the schema version check) both
+// reject them, or both accept them with reflect.DeepEqual values. So the
+// one-pass fast path reads exactly what encoding/json reads wherever it
+// accepts, and defers to it everywhere else. DecodeReport never panics,
+// and re-encoding an accepted report is a fixpoint: marshalling the
+// decoded report, decoding that and marshalling again yields the same
+// bytes, so a report read from disk or the wire re-serves
+// byte-identically. The seeds are compact real reports (4-thread,
+// 2-thread, 2-core chip, the serve-asm programs, telemetry on), one
+// non-canonical variant per fallback rule, and prefixes of the golden
+// report.
 func FuzzDecodeReport(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "report_v1.golden.json"))
 	if err != nil {
@@ -23,7 +29,11 @@ func FuzzDecodeReport(f *testing.F) {
 	for _, n := range []int{0, 1, len(golden) / 4, len(golden) / 2, len(golden) - 2, len(golden) - 1} {
 		f.Add(golden[:n])
 	}
+	for _, seed := range decodeSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeDifferential(t, data)
 		rep, err := DecodeReport(data)
 		if err != nil {
 			return

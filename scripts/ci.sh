@@ -65,13 +65,20 @@ go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm/
 # holds (truncated, bit-flipped, a foreign schema version, a wrong name),
 # store.Open must not panic, must count every candidate file as indexed
 # or skipped, and must serve only reports that decode, carry the key they
-# are served under and hash to their own filename.
+# are served under, hash to their own filename and whose outcome fields
+# recompute to their result fingerprint.
 go test -run '^$' -fuzz FuzzStoreOpen -fuzztime 10s ./internal/store/
 
-# Report-decoder totality fuzz, same budget, seeded from the golden report
-# and truncations of it: DecodeReport must not panic, every report it
-# accepts carries this build's SchemaVersion, and re-encoding an accepted
-# report is a fixpoint (marshal, decode, marshal gives the same bytes).
+# Report-decoder differential fuzz, same budget: for any bytes,
+# DecodeReport (a one-pass fast path for what json.Marshal writes, with
+# json.Unmarshal as the fallback for everything else) and the reference
+# (json.Unmarshal plus the schema version check) both reject them or both
+# accept them with reflect.DeepEqual values. DecodeReport must not panic,
+# and re-encoding an accepted report is a fixpoint (marshal, decode,
+# marshal gives the same bytes). Seeds: the golden report and truncations
+# of it, compact real reports (4-thread, 2-thread, 2-core chip, the
+# serve-asm programs, telemetry on) and one non-canonical variant per
+# fallback rule.
 go test -run '^$' -fuzz FuzzDecodeReport -fuzztime 10s .
 
 # Lazy-schedule and reference-emulator race gate, explicitly under -race
@@ -100,8 +107,13 @@ go test -race -count=1 -run TestTelemetryParallelMergeMatchesSerial ./internal/h
 # queue/dedup/drain machinery and the typed client are all about concurrent
 # admission, and the result store is read and written by every shard owner
 # at once and indexed by a parallel Open, so their suites must always
-# execute under -race, uncached.
+# execute under -race, uncached. The second line is the serving path's
+# fmt-free and reflection-free parts: the report decoder's fast path
+# against json.Unmarshal, and the config and result fingerprints (and the
+# mix name in the cache key) against their fmt reference formulas.
 go test -race -count=1 ./internal/serve/ ./internal/store/ ./client/
+go test -race -count=1 -run 'TestDecode|TestCheckResultFingerprint|TestFingerprintMatchesReference|TestFingerprintAllocs|TestMixNameMatchesFormat' \
+    . ./internal/config/ ./internal/core/ ./internal/workload/
 
 # Chip determinism gate, explicitly under -race and uncached: the N-core
 # chip steps one goroutine per core, and the parallel path must be
